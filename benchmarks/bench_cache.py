@@ -15,16 +15,21 @@ marker variant):
   equals the cold one and, when the cold series ran in the same
   session, that warm is at least **5x** faster.
 
-PR 7's backend split adds the campaign-scale series: a synthetic store
-of 10^4 entries, warm-looked-up via one ``get_many`` per round, once
-per backend.  ``bench_cache_lookup_sqlite`` asserts the WAL database
-answers the batch at least **5x** faster than the sharded-JSON layout —
-the number that makes million-run campaigns practical (JSON pays one
-``open``/``read``/``parse`` per key; SQLite pays ~20 indexed queries).
-The gate measures the two backends interleaved, back-to-back, so
-machine-load drift between the independently-timed series cannot fail
-it, and with the cyclic collector quiesced so gen-2 sweeps of a full
-test session's heap don't land inside the short sqlite window.
+The campaign-scale series, ``bench_cache_lookup_sqlite``, warm-looks
+up a synthetic store of 10^4 entries via one ``get_many`` per round and
+gates the lookup two ways:
+
+* **work counts** (``bench_cache_lookup_work``) — one ``get_many`` of
+  10^4 keys issues exactly ⌈10^4/500⌉ = 20 ``SELECT`` statements
+  (counted with ``Connection.set_trace_callback``) and exactly one
+  ``json.loads`` for the whole batch of payloads;
+* **wall clock** — the best lookup must stay under
+  :data:`LOOKUP_CEILING_LOOPS` runs of a fixed pure-Python loop (the
+  host-speed yardstick ``perfbench/child.py`` calibrates with).  The
+  lookup is timed in a fresh interpreter, interleaved with the loop,
+  best-of-N, with the cyclic collector quiesced, so neither host-load
+  drift between two timings nor the state of a full test session
+  enters the figure.
 
 All series land in ``BENCH_simperf.json`` with their ``cache_*``
 counter deltas (see ``conftest.timed``), so the trajectory file records
@@ -34,15 +39,21 @@ the hit/miss traffic alongside the wall times.
 from __future__ import annotations
 
 import gc
+import json
+import math
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import ascii_table
 from repro.cache import RunCache
+from repro.cache import store as store_module
 from repro.faults import explore
 from repro.parallel import RingScenario, StandardRingInvariants
 from conftest import _PERF, emit, timed
@@ -127,16 +138,32 @@ def bench_explore_cache_warm(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Backend lookup series: sharded JSON vs SQLite WAL at campaign scale
+# Warm lookups at campaign scale
 # ---------------------------------------------------------------------------
 
 LOOKUP_ENTRIES = 10_000
-LOOKUP_SPEEDUP_FLOOR = 5.0
+#: Ceiling on one warm ``get_many`` of LOOKUP_ENTRIES keys, in runs of
+#: :func:`_yardstick`: a fifth of what the retired sharded-JSON store
+#: took (3.6-4.8 loop runs, fresh interpreters, best of 9-11, on a
+#: 2-vCPU VM), so the gate is no weaker than the old "SQLite at least
+#: 5x faster than JSON" ratio.
+LOOKUP_CEILING_LOOPS = 3.8
+LOOKUP_ROUNDS = 9
 
 
-def _synthetic_store(backend: str, root: Path) -> tuple[RunCache, list[str]]:
+def _yardstick() -> float:
+    """Seconds for one run of the fixed pure-Python loop that
+    ``perfbench/child.py`` calibrates host speed with."""
+    t = time.perf_counter()
+    x = 0
+    for i in range(200_000):
+        x += i * i
+    return time.perf_counter() - t
+
+
+def _fill_store(root: Path) -> tuple[RunCache, list[str]]:
     """10^4 entries with campaign-shaped payloads, stored untimed."""
-    cache = RunCache(root, backend=backend)
+    cache = RunCache(root)
     keys = [f"{i:064x}" for i in range(LOOKUP_ENTRIES)]
     cache.put_many(
         (
@@ -149,23 +176,65 @@ def _synthetic_store(backend: str, root: Path) -> tuple[RunCache, list[str]]:
     return cache, keys
 
 
-@pytest.fixture(scope="module")
-def lookup_stores():
-    """One pre-populated store per backend, shared by the lookup benches
-    so the speedup gate can re-measure both back-to-back."""
-    dirs: list[str] = []
-    stores: dict[str, tuple[RunCache, list[str]]] = {}
-    for backend in ("json", "sqlite"):
-        d = tempfile.mkdtemp(prefix=f"repro-bench-{backend}-")
-        dirs.append(d)
-        stores[backend] = _synthetic_store(backend, Path(d))
-    yield stores
-    for d in dirs:
+def _measure_lookup() -> dict[str, float]:
+    """Best warm lookup and best yardstick loop, interleaved, with the
+    cyclic collector off.  Runs in a fresh interpreter (see
+    :func:`bench_cache_lookup_sqlite`), as the ceiling was calibrated."""
+    d = tempfile.mkdtemp(prefix="repro-bench-lookup-")
+    try:
+        cache, keys = _fill_store(Path(d))
+        cache.get_many(keys)
+        best_loop = best_lookup = float("inf")
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(LOOKUP_ROUNDS):
+                best_loop = min(best_loop, _yardstick())
+                t0 = time.perf_counter()
+                got = cache.get_many(keys)
+                best_lookup = min(best_lookup, time.perf_counter() - t0)
+        finally:
+            gc.enable()
+        assert all(status == "hit" for status, _ in got)
+        return {"lookup_s": best_lookup, "loop_s": best_loop}
+    finally:
         shutil.rmtree(d, ignore_errors=True)
 
 
-def _bench_lookup(benchmark, stores, backend: str):
-    cache, keys = stores[backend]
+@pytest.fixture(scope="module")
+def lookup_store():
+    d = tempfile.mkdtemp(prefix="repro-bench-lookup-")
+    yield _fill_store(Path(d))
+    shutil.rmtree(d, ignore_errors=True)
+
+
+def bench_cache_lookup_work(lookup_store, monkeypatch):
+    cache, keys = lookup_store
+    loads = []
+
+    def counting_loads(text, *args, **kwargs):
+        loads.append(len(text))
+        return json.loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(
+        store_module, "json",
+        types.SimpleNamespace(loads=counting_loads, dumps=json.dumps),
+    )
+    statements: list[str] = []
+    conn = cache.store._conn()
+    conn.set_trace_callback(statements.append)
+    try:
+        got = cache.get_many(keys)
+    finally:
+        conn.set_trace_callback(None)
+    assert all(status == "hit" for status, _ in got)
+    selects = [s for s in statements if s.lstrip().upper().startswith("SELECT")]
+    assert len(selects) == math.ceil(LOOKUP_ENTRIES / 500) == 20
+    assert len(loads) == 1
+
+
+def bench_cache_lookup_sqlite(benchmark, lookup_store):
+    cache, keys = lookup_store
 
     def lookup():
         got = cache.get_many(keys)
@@ -173,56 +242,33 @@ def _bench_lookup(benchmark, stores, backend: str):
         return got
 
     timed(benchmark, lookup)
-
-
-def bench_cache_lookup_json(benchmark, lookup_stores):
-    _bench_lookup(benchmark, lookup_stores, "json")
-
-
-def bench_cache_lookup_sqlite(benchmark, lookup_stores):
-    _bench_lookup(benchmark, lookup_stores, "sqlite")
-    sqlite_s = min(_PERF["bench_cache_lookup_sqlite"])
-    rows = [["sqlite", f"{sqlite_s:.4f}", "-"]]
-    json_series = _PERF.get("bench_cache_lookup_json")
-    if json_series:
-        # The two series above were timed minutes apart in a full bench
-        # session, and machine-load drift between them dwarfs the
-        # backend gap's error bars.  Gate on a warmth-matched ratio
-        # instead: alternate json/sqlite batches back-to-back and
-        # compare the best of each.  The collector is quiesced for the
-        # comparison: one get_many materializes ~3 objects per key, so
-        # in a full-suite run a gen-2 sweep of the accumulated heap
-        # lands inside the ~40ms sqlite window often enough to double
-        # it (json's ~200ms window absorbs the same pause in the
-        # noise).
-        best = {"json": float("inf"), "sqlite": float("inf")}
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(3):
-                for backend in ("json", "sqlite"):
-                    cache, keys = lookup_stores[backend]
-                    t0 = time.perf_counter()
-                    cache.get_many(keys)
-                    best[backend] = min(
-                        best[backend], time.perf_counter() - t0
-                    )
-        finally:
-            gc.enable()
-        speedup = (
-            best["json"] / best["sqlite"]
-            if best["sqlite"] > 0 else float("inf")
-        )
-        rows.insert(0, ["json", f"{min(json_series):.4f}", "-"])
-        rows[-1][-1] = f"{speedup:.1f}x"
-        assert speedup >= LOOKUP_SPEEDUP_FLOOR, (
-            f"sqlite warm lookup only {speedup:.1f}x faster than json "
-            f"at {LOOKUP_ENTRIES} entries (floor: {LOOKUP_SPEEDUP_FLOOR}x, "
-            f"interleaved best-of-3: json {best['json'] * 1e3:.1f}ms / "
-            f"sqlite {best['sqlite'] * 1e3:.1f}ms)"
-        )
+    # The wall gate runs in a fresh interpreter, as its ceiling was
+    # calibrated, so nothing earlier tests left in this process (heap,
+    # threads, open stores) can move it.
+    here = Path(__file__).resolve().parent
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         f"import json, sys; sys.path.insert(0, {str(here)!r}); "
+         "import bench_cache; "
+         "print(json.dumps(bench_cache._measure_lookup()))"],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    measured = json.loads(probe.stdout.strip().splitlines()[-1])
+    best_lookup, best_loop = measured["lookup_s"], measured["loop_s"]
+    loops = best_lookup / best_loop
     emit(
-        f"cache backend warm lookup ({LOOKUP_ENTRIES} entries, one "
-        f"get_many per round; speedup from interleaved best-of-3)",
-        ascii_table(["backend", "min wall s", "speedup"], rows),
+        f"run-cache warm lookup ({LOOKUP_ENTRIES} entries, one get_many; "
+        f"interleaved best-of-{LOOKUP_ROUNDS})",
+        ascii_table(
+            ["lookup ms", "per key us", "yardstick ms", "loop runs", "ceiling"],
+            [[f"{best_lookup * 1e3:.1f}",
+              f"{best_lookup / LOOKUP_ENTRIES * 1e6:.2f}",
+              f"{best_loop * 1e3:.1f}", f"{loops:.2f}",
+              f"{LOOKUP_CEILING_LOOPS}"]],
+        ),
+    )
+    assert loops <= LOOKUP_CEILING_LOOPS, (
+        f"warm lookup of {LOOKUP_ENTRIES} keys took {loops:.2f} yardstick "
+        f"loops (ceiling {LOOKUP_CEILING_LOOPS}; best {best_lookup * 1e3:.1f}"
+        f"ms against a {best_loop * 1e3:.1f}ms loop)"
     )

@@ -1,35 +1,32 @@
 """On-disk content-addressed store for classified sweep outcomes.
 
-Two interchangeable backends implement one :class:`CacheStore`
-interface (raw entry in, raw entry out):
+One SQLite database at ``root/cache.sqlite`` in WAL mode, one table
+keyed by job key (:class:`SqliteStore`).  Each row holds the entry the
+job produced: the classified outcome payload from ``cache_payload()`` —
+violations, hang/abort flags, digests, perf counters minus ``wall_s``,
+final virtual time — never a raw ``SimulationResult`` (traces are
+large, and pickled kernel state would rot across versions), plus a
+base64-pickled copy of the job itself, which is what lets ``repro cache
+verify`` re-execute a sample of entries and diff the stored payload
+against a fresh run field by field.
 
-* :class:`JsonStore` — one JSON file per entry at
-  ``root/<key[:2]>/<key>.json`` (the two-hex-digit fan-out keeps
-  directories small), writers guarded by an ``fcntl`` flock on
-  ``root/.lock``, writes atomic via tmp file + ``os.replace``.  Zero
-  dependencies, human-greppable, and fine up to ~10^4 entries — past
-  that the one-file-per-entry layout pays a syscall per lookup.
-* :class:`~repro.cache.sqlite_store.SqliteStore` — a single SQLite
-  database at ``root/cache.sqlite`` in WAL mode, one table keyed by job
-  key.  Batched ``read_many``/``write_many`` run as one statement /
-  one transaction, which is what makes 10^5–10^6-entry campaigns
-  practical (see ``benchmarks/bench_cache.py`` for the measured
-  warm-lookup gap).
+What the database buys over one file per entry:
 
-Both store the *same entry format*: the classified outcome payload
-produced by the job's ``cache_payload()`` — violations, hang/abort
-flags, digests, perf counters minus ``wall_s``, final virtual time —
-never a raw ``SimulationResult`` (traces are large, and pickled kernel
-state would rot across versions), plus a base64-pickled copy of the job
-itself, which is what lets ``repro cache verify`` re-execute a sample of
-entries and diff the stored payload against a fresh run field by field.
-Because the entry format is shared, :meth:`RunCache.migrate` can move a
-store between backends without touching a single payload.
+* **Batched lookups** — ``get_many`` is chunked ``SELECT … WHERE key
+  IN (…)`` statements that read the payload *column* (never the job
+  pickle), classify every key in one pass, and decode all hit payloads
+  with a single ``json.loads`` (measured in
+  ``benchmarks/bench_cache.py``).
+* **Batched stores** — ``write_many`` is a single transaction around
+  ``executemany``, amortizing the commit.
+* **Concurrent writers** — WAL mode lets the serial runner, pool
+  parents, remote workers and ``repro cache gc`` interleave;
+  ``busy_timeout`` turns short lock contention into a wait instead of
+  an error, and a writer killed mid-transaction leaves the previous
+  committed state behind.
 
-Backend selection (:class:`RunCache`): explicit ``backend=`` argument,
-else ``$REPRO_CACHE_BACKEND``, else auto-detection from the directory
-(an existing ``cache.sqlite`` → sqlite, existing shards/.lock → json),
-else the JSON default — mirroring the fiber-backend precedence rules.
+``sqlite3`` is imported on first use, so importing the package (and the
+CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -39,10 +36,12 @@ import json
 import os
 import pickle
 import random
-import tempfile
+import threading
 import time
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -50,32 +49,46 @@ from ..obs import registry as _metrics
 from ..obs.spans import active as _spans_active
 from .keys import KEY_FORMAT, job_key
 
-try:  # pragma: no cover - exercised only where fcntl exists (POSIX)
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-
 __all__ = [
-    "BACKENDS",
     "CORRUPT",
-    "CacheStore",
-    "JsonStore",
+    "DB_FILENAME",
     "RunCache",
+    "SqliteStore",
     "VerifyResult",
     "default_cache_dir",
-    "detect_backend",
     "diff_payload",
-    "make_store",
 ]
 
-#: Known store backend names (see module docstring for the trade-off).
-BACKENDS = ("json", "sqlite")
-
-#: Sentinel returned by :meth:`CacheStore.read` for an entry that exists
-#: but cannot be parsed — distinct from ``None`` (no entry at all) so
-#: ``fetch`` can report ``"stale"`` (re-execute and overwrite) rather
-#: than ``"miss"``.
+#: Sentinel returned by :meth:`SqliteStore.read` for an entry that
+#: exists but cannot be parsed — distinct from ``None`` (no entry at
+#: all) so maintenance can treat it as stale rather than absent.
 CORRUPT: Any = object()
+
+#: Database filename under the cache root.
+DB_FILENAME = "cache.sqlite"
+
+#: Max keys per ``IN (…)`` clause — comfortably under SQLite's default
+#: 32766 bound-parameter limit while keeping statements cacheable.
+_SELECT_CHUNK = 500
+
+_SCHEMA = """\
+CREATE TABLE IF NOT EXISTS entries (
+    key       TEXT PRIMARY KEY,
+    format    TEXT NOT NULL,
+    stored_at REAL NOT NULL,
+    payload   TEXT NOT NULL,
+    data      TEXT NOT NULL
+) WITHOUT ROWID
+"""
+
+_INSERT = (
+    "INSERT OR REPLACE INTO entries"
+    " (key, format, stored_at, payload, data) VALUES (?, ?, ?, ?, ?)"
+)
+
+#: Shared lookup results for keys without a usable payload.
+_MISS = ("miss", None)
+_STALE = ("stale", None)
 
 
 def default_cache_dir() -> Path:
@@ -130,209 +143,167 @@ class VerifyResult:
 
 
 # ----------------------------------------------------------------------
-# The backend interface
+# The database
 # ----------------------------------------------------------------------
 
 
-class CacheStore:
-    """Raw entry storage under one root directory.
+class SqliteStore:
+    """Run-cache entries in a single WAL-mode SQLite database.
 
-    An *entry* is the JSON-able dict built by :meth:`RunCache.put`
+    An *entry* is the JSON-able dict built by :meth:`RunCache._make_entry`
     (``format``/``key``/``stored_at``/``job_type``/``job_pickle``/
-    ``payload``); backends move entries in and out without interpreting
-    them.  The batched methods have loop fallbacks so a backend only
-    overrides what it can genuinely accelerate.
+    ``payload``).  A row keeps the whole entry in ``data`` and copies
+    its ``format`` and ``payload`` into their own columns, which is all
+    a lookup reads.
     """
-
-    #: Backend name as reported by ``repro cache stats``.
-    name = "?"
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
+        self.path = self.root / DB_FILENAME
+        # sqlite3 connections are not shareable across threads/forked
+        # children; keep one per thread and re-open lazily after fork.
+        self._local = threading.local()
 
-    # -- single-entry primitives (must be overridden) ------------------
+    def _conn(self) -> "sqlite3.Connection":  # noqa: F821 - lazy import
+        conn = getattr(self._local, "conn", None)
+        if conn is not None and self._local.pid == os.getpid():
+            return conn
+        import sqlite3
 
-    def read(self, key: str) -> dict[str, Any] | None:
-        """The parsed entry, ``None`` when absent, :data:`CORRUPT` when
-        present but unparseable."""
-        raise NotImplementedError
+        self.root.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(self.path, timeout=30.0)
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute("PRAGMA busy_timeout=30000")
+        with conn:
+            conn.execute(_SCHEMA)
+        self._local.conn = conn
+        self._local.pid = os.getpid()
+        return conn
 
-    def write(self, key: str, entry: dict[str, Any]) -> None:
-        raise NotImplementedError
+    # -- lookups ----------------------------------------------------------
 
-    def delete(self, key: str) -> None:
-        raise NotImplementedError
+    def get_many(
+        self, keys: Sequence[str]
+    ) -> list[tuple[str, dict[str, Any] | None]]:
+        """Classify every key in one pass: ``(status, payload)`` each.
 
-    def keys(self) -> Iterator[str]:
-        """Every stored key, in sorted order (both backends guarantee
-        the same order, so sampling/iteration is backend-independent)."""
-        raise NotImplementedError
-
-    def size_bytes(self) -> int:
-        """On-disk footprint of the store's files."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Remove the backend's storage entirely (used by migration)."""
-        raise NotImplementedError
-
-    # -- batched operations (loop fallbacks) ----------------------------
-
-    def read_many(self, keys: Sequence[str]) -> list[dict[str, Any] | None]:
-        """Batched read, one result per key in order.
-
-        This feeds :meth:`RunCache.get_many` (the fetch path), so a
-        backend may return entries *trimmed* to the classification
-        fields — ``format``, ``key``, ``payload`` — when that is cheaper
-        than materializing the full entry; callers needing the job
-        pickle or ``stored_at`` must use :meth:`read`.
+        ``"hit"`` carries the decoded payload; ``"miss"`` means no row;
+        ``"stale"`` means a row from another key format or one whose
+        payload does not decode to a dict.  Only the ``payload`` column
+        of current-format rows is read, and all of them are decoded by
+        one ``json.loads``.
         """
-        return [self.read(k) for k in keys]
-
-    def write_many(self, items: Iterable[tuple[str, dict[str, Any]]]) -> None:
-        with self.maintenance_lock():
-            for key, entry in items:
-                self._write_locked(key, entry)
-
-    def delete_many(self, keys: Sequence[str]) -> None:
-        with self.maintenance_lock():
-            for k in keys:
-                self.delete(k)
-
-    def _write_locked(self, key: str, entry: dict[str, Any]) -> None:
-        """Write assuming :meth:`maintenance_lock` is already held
-        (the default just writes; JSON overrides to skip re-locking)."""
-        self.write(key, entry)
-
-    # -- coordination ---------------------------------------------------
-
-    @contextmanager
-    def maintenance_lock(self):
-        """Exclusive writer lock for multi-step maintenance (gc,
-        migration).  A no-op by default — backends with transactional
-        writes (SQLite WAL) do not need it for correctness."""
-        yield self
-
-
-class JsonStore(CacheStore):
-    """One JSON file per entry at ``root/<key[:2]>/<key>.json``.
-
-    Writes are atomic (tmp file + ``os.replace``) under an ``fcntl``
-    flock so the serial runner and every parent of a process pool can
-    share one store; readers take no lock (``os.replace`` guarantees
-    they see either the old or the new complete file, never torn).
-    """
-
-    name = "json"
+        if not keys:
+            return []
+        conn = self._conn()
+        # key -> payload text, or None for a row of another key format.
+        found: dict[str, str | None] = {}
+        for start in range(0, len(keys), _SELECT_CHUNK):
+            chunk = keys[start : start + _SELECT_CHUNK]
+            found.update(conn.execute(
+                "SELECT key, CASE format WHEN ? THEN payload END"
+                f" FROM entries WHERE key IN ({','.join('?' * len(chunk))})",
+                (KEY_FORMAT, *chunk),
+            ))
+        stale = []
+        if None in found.values():
+            stale = [k for k, text in found.items() if text is None]
+            for k in stale:
+                del found[k]
+        values = _parse_payloads(list(found.values()))
+        out = dict(zip(found, zip(repeat("hit"), values)))
+        if not all(map(isinstance, values, repeat(dict))):
+            stale += [k for k, v in zip(found, values) if not isinstance(v, dict)]
+        out.update(dict.fromkeys(stale, _STALE))
+        return list(map(out.get, keys, repeat(_MISS)))
 
     def read(self, key: str) -> dict[str, Any] | None:
-        try:
-            raw = self._path(key).read_text()
-        except OSError:
+        """The full entry, ``None`` when absent, :data:`CORRUPT` when
+        present but unparseable."""
+        row = self._conn().execute(
+            "SELECT data FROM entries WHERE key = ?", (key,)
+        ).fetchone()
+        if row is None:
             return None
         try:
-            entry = json.loads(raw)
+            entry = json.loads(row[0])
         except ValueError:
             return CORRUPT
         return entry if isinstance(entry, dict) else CORRUPT
 
-    def write(self, key: str, entry: dict[str, Any]) -> None:
-        with self.maintenance_lock():
-            self._write_locked(key, entry)
-
-    def _write_locked(self, key: str, entry: dict[str, Any]) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = json.dumps(entry, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def delete(self, key: str) -> None:
-        self._path(key).unlink(missing_ok=True)
-
     def keys(self) -> Iterator[str]:
-        if not self.root.is_dir():
-            return
-        for shard in sorted(self.root.iterdir()):
-            if not (shard.is_dir() and len(shard.name) == 2):
-                continue
-            for f in sorted(shard.glob("*.json")):
-                yield f.stem
+        """Every stored key, in sorted order."""
+        if not self.path.exists():
+            return iter(())
+        rows = self._conn().execute(
+            "SELECT key FROM entries ORDER BY key"
+        ).fetchall()
+        return iter([r[0] for r in rows])
 
     def size_bytes(self) -> int:
+        """On-disk footprint; WAL mode spreads live data over
+        ``cache.sqlite{,-wal,-shm}``."""
         total = 0
-        for key in self.keys():
+        for suffix in ("", "-wal", "-shm"):
             try:
-                total += self._path(key).stat().st_size
+                total += Path(str(self.path) + suffix).stat().st_size
             except OSError:
                 continue
         return total
 
-    def clear(self) -> None:
-        import shutil
+    # -- writes -----------------------------------------------------------
 
-        for shard in list(self.root.iterdir()) if self.root.is_dir() else []:
-            if shard.is_dir() and len(shard.name) == 2:
-                shutil.rmtree(shard, ignore_errors=True)
-        (self.root / ".lock").unlink(missing_ok=True)
+    def write_many(self, items: Iterable[tuple[str, dict[str, Any]]]) -> None:
+        """Store every ``(key, entry)`` in one transaction."""
+        conn = self._conn()
+        with conn:
+            conn.executemany(
+                _INSERT, (self._row(key, entry) for key, entry in items)
+            )
 
-    @contextmanager
-    def maintenance_lock(self):
-        with _FileLock(self.root / ".lock"):
-            yield self
+    def delete_many(self, keys: Sequence[str]) -> None:
+        if not keys:
+            return
+        conn = self._conn()
+        with conn:
+            conn.executemany(
+                "DELETE FROM entries WHERE key = ?", [(k,) for k in keys]
+            )
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-
-def detect_backend(root: Path | str) -> str | None:
-    """Which backend already owns *root*, or ``None`` for a fresh dir."""
-    root = Path(root)
-    if (root / "cache.sqlite").exists():
-        return "sqlite"
-    if not root.is_dir():
-        return None
-    if (root / ".lock").exists():
-        return "json"
-    for child in root.iterdir():
-        if child.is_dir() and len(child.name) == 2:
-            return "json"
-    return None
-
-
-def make_store(backend: str, root: Path | str) -> CacheStore:
-    """Instantiate a backend by name (``"json"`` or ``"sqlite"``)."""
-    if backend == "json":
-        return JsonStore(Path(root))
-    if backend == "sqlite":
-        from .sqlite_store import SqliteStore  # lazy: keep import cheap
-
-        return SqliteStore(Path(root))
-    raise ValueError(
-        f"unknown cache backend {backend!r} (known: {', '.join(BACKENDS)})"
-    )
+    @staticmethod
+    def _row(
+        key: str, entry: dict[str, Any]
+    ) -> tuple[str, str, float, str, str]:
+        stored = entry.get("stored_at")
+        return (
+            key,
+            str(entry.get("format", "")),
+            float(stored) if isinstance(stored, (int, float)) else 0.0,
+            json.dumps(entry.get("payload"), sort_keys=True),
+            json.dumps(entry, sort_keys=True),
+        )
 
 
-def _resolve_backend(backend: str | None, root: Path | str) -> str:
-    """Selection precedence: explicit > ``$REPRO_CACHE_BACKEND`` >
-    auto-detect from the directory > the JSON default."""
-    if backend is not None:
-        return backend
-    env = os.environ.get("REPRO_CACHE_BACKEND")
-    if env:
-        return env
-    return detect_backend(root) or "json"
+def _parse_payloads(texts: list[str]) -> list[Any]:
+    """Parse many payload JSON strings with **one** ``json.loads``.
+
+    Joining into a single array and parsing once stays in the C decoder
+    for the whole batch — per-call overhead is most of the cost of 10^4
+    tiny parses.  Any corrupt row poisons the joined parse, so fall back
+    to per-entry parsing (returning ``CORRUPT`` sentinels for the bad
+    ones) only on that rare path.
+    """
+    try:
+        return json.loads(f"[{','.join(texts)}]") if texts else []
+    except ValueError:
+        out: list[Any] = []
+        for text in texts:
+            try:
+                out.append(json.loads(text))
+            except ValueError:
+                out.append(CORRUPT)
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -343,87 +314,53 @@ def _resolve_backend(backend: str | None, root: Path | str) -> str:
 class RunCache:
     """A content-addressed store of classified sweep outcomes."""
 
-    def __init__(self, root: Path, *, backend: str | None = None) -> None:
-        self.root = Path(root)
-        self.store = make_store(_resolve_backend(backend, root), self.root)
+    #: Storage engine name, as reported by ``repro cache stats``.
+    backend = "sqlite"
 
-    @property
-    def backend(self) -> str:
-        """The active backend's name (``"json"`` / ``"sqlite"``)."""
-        return self.store.name
+    def __init__(self, root: Path | str) -> None:
+        self.root = Path(root)
+        self.store = SqliteStore(self.root)
 
     @classmethod
-    def at(
-        cls,
-        where: "RunCache | Path | str | bool | None",
-        *,
-        backend: str | None = None,
-    ) -> "RunCache":
+    def at(cls, where: "RunCache | Path | str | bool | None") -> "RunCache":
         """Coerce a path-ish argument to a cache (``None``/``True`` →
         the default directory; see :func:`default_cache_dir`)."""
         if isinstance(where, RunCache):
             return where
         if where is None or where is True:
-            return cls(default_cache_dir(), backend=backend)
-        return cls(Path(where), backend=backend)
+            return cls(default_cache_dir())
+        return cls(Path(where))
 
     # -- read side ----------------------------------------------------
 
-    def fetch(self, key: str) -> tuple[str, dict[str, Any] | None]:
-        """Look up *key*; returns ``(status, payload)``.
+    def get_many(
+        self, keys: Sequence[str]
+    ) -> list[tuple[str, dict[str, Any] | None]]:
+        """Look up every key: one ``(status, payload)`` per key, in
+        order, from ⌈len/500⌉ ``SELECT`` statements — what the sweep
+        pipeline issues per chunk instead of one read per job.
 
         *status* is ``"hit"`` (payload usable), ``"miss"`` (no entry),
         or ``"stale"`` (an entry exists but is corrupt or from another
         key-format version — callers re-execute and overwrite it).
         """
-        return self._classify(self.store.read(key))
-
-    def get_many(
-        self, keys: Sequence[str]
-    ) -> list[tuple[str, dict[str, Any] | None]]:
-        """Batched :meth:`fetch`: one ``(status, payload)`` per key, in
-        order.  One backend round-trip per call (a single SQL query on
-        the SQLite backend; a per-key loop on JSON), which is what the
-        streaming sweep pipeline issues per chunk instead of one read
-        per job.
-        """
         recorder = _spans_active()
         if recorder is None:
-            classified = [
-                self._classify(e) for e in self.store.read_many(keys)
-            ]
+            classified = self.store.get_many(keys)
+            counts = Counter(map(itemgetter(0), classified))
         else:
             with recorder.span(
                 "cache.get_many", "cache", attrs={"keys": len(keys)}
             ) as span:
-                classified = [
-                    self._classify(e) for e in self.store.read_many(keys)
-                ]
-                span.attrs["hits"] = sum(
-                    1 for status, _ in classified if status == "hit"
-                )
-        counts: dict[str, int] = {}
-        for status, _ in classified:
-            counts[status] = counts.get(status, 0) + 1
+                classified = self.store.get_many(keys)
+                counts = Counter(map(itemgetter(0), classified))
+                span.attrs["hits"] = counts["hit"]
         for status, count in counts.items():
             _metrics.CACHE_LOOKUPS.inc(count, result=status)
         return classified
 
-    @staticmethod
-    def _classify(
-        entry: dict[str, Any] | None,
-    ) -> tuple[str, dict[str, Any] | None]:
-        if entry is None:
-            return "miss", None
-        if entry is CORRUPT or entry.get("format") != KEY_FORMAT:
-            return "stale", None
-        payload = entry.get("payload")
-        if not isinstance(payload, dict):
-            return "stale", None
-        return "hit", payload
-
     def keys(self) -> Iterator[str]:
-        """Every key currently stored (sorted, backend-independent)."""
+        """Every key currently stored, sorted."""
         return self.store.keys()
 
     def entry(self, key: str) -> dict[str, Any] | None:
@@ -435,7 +372,7 @@ class RunCache:
 
     @staticmethod
     def _make_entry(key: str, payload: dict[str, Any], job: Any) -> dict[str, Any]:
-        """The shared entry format, identical across backends.
+        """One stored entry.
 
         The job is pickled alongside (base64) so ``verify`` can later
         re-execute the entry without reconstructing its spec by hand.
@@ -451,15 +388,11 @@ class RunCache:
             "payload": payload,
         }
 
-    def put(self, key: str, payload: dict[str, Any], job: Any) -> None:
-        """Store *payload* under *key*, atomically and under the lock."""
-        self.store.write(key, self._make_entry(key, payload, job))
-
     def put_many(
         self, items: Iterable[tuple[str, dict[str, Any], Any]]
     ) -> None:
-        """Batched :meth:`put`: one lock acquisition / one transaction
-        for the whole batch (``items`` are ``(key, payload, job)``)."""
+        """Store every ``(key, payload, job)`` of *items* in one
+        transaction."""
         count = 0
 
         def _entries() -> Iterator[tuple[str, dict[str, Any]]]:
@@ -510,66 +443,25 @@ class RunCache:
         removed_old = 0
         now = time.time()
         doomed: list[str] = []
-        with self.store.maintenance_lock():
-            for key in list(self.keys()):
-                entry = self.store.read(key)
-                if (
-                    entry is None
-                    or entry is CORRUPT
-                    or entry.get("format") != KEY_FORMAT
+        for key in list(self.keys()):
+            entry = self.store.read(key)
+            if (
+                entry is None
+                or entry is CORRUPT
+                or entry.get("format") != KEY_FORMAT
+            ):
+                doomed.append(key)
+                removed_stale += 1
+                continue
+            if max_age_s is not None:
+                stored = entry.get("stored_at")
+                if not isinstance(stored, (int, float)) or (
+                    now - stored > max_age_s
                 ):
                     doomed.append(key)
-                    removed_stale += 1
-                    continue
-                if max_age_s is not None:
-                    stored = entry.get("stored_at")
-                    if not isinstance(stored, (int, float)) or (
-                        now - stored > max_age_s
-                    ):
-                        doomed.append(key)
-                        removed_old += 1
-            for key in doomed:
-                self.store.delete(key)
+                    removed_old += 1
+        self.store.delete_many(doomed)
         return {"removed_stale": removed_stale, "removed_old": removed_old}
-
-    def migrate(self, to: str, *, dest: Path | str | None = None) -> dict[str, Any]:
-        """Copy every entry to the *to* backend; returns counts.
-
-        With ``dest=None`` the conversion is in-place: entries land in
-        the other backend's storage under the same root and the source
-        backend's files are removed afterwards, so auto-detection picks
-        the new backend from then on.  Entries are copied raw (pickled
-        job, payload, ``stored_at`` — everything), so ``verify`` results
-        are unchanged by a migration.
-        """
-        if to not in BACKENDS:
-            raise ValueError(
-                f"unknown cache backend {to!r} (known: {', '.join(BACKENDS)})"
-            )
-        in_place = dest is None
-        if in_place and to == self.backend:
-            return {"migrated": 0, "skipped": 0, "backend": self.backend}
-        target = make_store(to, self.root if in_place else Path(dest))
-        if target.root == self.store.root and to == self.backend:
-            raise ValueError("source and destination stores are the same")
-        migrated = 0
-        skipped = 0
-
-        def entries() -> Iterator[tuple[str, dict[str, Any]]]:
-            nonlocal migrated, skipped
-            for key in list(self.keys()):
-                entry = self.store.read(key)
-                if entry is None or entry is CORRUPT:
-                    skipped += 1  # corrupt entries do not survive migration
-                    continue
-                migrated += 1
-                yield key, entry
-
-        target.write_many(entries())
-        if in_place:
-            self.store.clear()
-            self.store = target
-        return {"migrated": migrated, "skipped": skipped, "backend": to}
 
     def verify(
         self, *, sample: int | None = None, seed: int = 0
@@ -622,38 +514,3 @@ class RunCache:
             return VerifyResult(key, label, False, error=f"re-execution failed: {exc}")
         diffs = diff_payload(entry.get("payload", {}), fresh)
         return VerifyResult(key, label, not diffs, diffs=diffs)
-
-    # -- plumbing -----------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        """Entry file path — JSON backend only (tests corrupt entries
-        through it; the SQLite backend has no per-entry file)."""
-        if not isinstance(self.store, JsonStore):
-            raise AttributeError(
-                f"_path is meaningless on the {self.backend!r} backend"
-            )
-        return self.store._path(key)
-
-
-class _FileLock:
-    """``with``-scoped exclusive flock on a sentinel file (POSIX); a
-    no-op where ``fcntl`` is unavailable (writes are still atomic via
-    ``os.replace``, so the worst case is duplicated work, not a torn
-    entry)."""
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self._fh = None
-
-    def __enter__(self) -> "_FileLock":
-        if fcntl is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a+")
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._fh is not None:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-            self._fh.close()
-            self._fh = None

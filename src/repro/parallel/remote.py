@@ -20,9 +20,12 @@ tuples:
 
 * ``("hello", info)`` → ``("hello", {"format", "pid"})`` — sent once
   per connection; ``info`` carries the protocol format, the parent's
-  determinism env (``REPRO_FIBERS``, ``REPRO_MUTATIONS``, …) which the
-  worker applies before keying or executing anything, and the shared
-  cache location (or ``None``).
+  ``repro.__version__``, its determinism env (``REPRO_FIBERS``,
+  ``REPRO_MUTATIONS``) which the worker applies before keying or
+  executing anything, and the shared cache location (or ``None``).
+  A worker whose format or version differs answers ``("reject",
+  reason)`` instead: cache keys are salted with the version, so a
+  skewed worker would key (and execute) jobs unlike its parent.
 * ``("run", start, jobs)`` → ``("done", start, items)`` — one chunk.
   Each element of ``items`` describes one job, in order:
   ``("raw", value)`` for uncacheable jobs, ``("hit", outcome)`` for
@@ -69,6 +72,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
+from .. import __version__
 from ..obs import registry as metrics
 from ..obs.spans import (
     SpanRecorder,
@@ -99,7 +103,7 @@ REMOTE_FORMAT = "repro.remote/1"
 #: Determinism-relevant environment propagated parent → worker on hello.
 #: Applied (set *and* unset) before any job key is computed or any job
 #: runs, so a worker keys and executes exactly like its parent.
-ENV_KEYS = ("REPRO_FIBERS", "REPRO_MUTATIONS", "REPRO_CACHE_BACKEND")
+ENV_KEYS = ("REPRO_FIBERS", "REPRO_MUTATIONS")
 
 _LEN = struct.Struct(">Q")
 #: Refuse absurd frames instead of allocating unbounded buffers.
@@ -218,6 +222,14 @@ def _apply_env(env: dict[str, str]) -> None:
             os.environ.pop(key, None)
 
 
+def _hello_mismatch(info: dict[str, Any]) -> str | None:
+    """Why this worker must refuse the parent's hello, or ``None``."""
+    for name, mine in (("format", REMOTE_FORMAT), ("version", __version__)):
+        if info.get(name) != mine:
+            return f"{name} mismatch: {info.get(name)!r} != {mine!r}"
+    return None
+
+
 def _traced_job(trace: tuple | None, index: int, run: Any) -> Any:
     """Execute ``run()`` inside a ``job`` span when *trace* is set.
 
@@ -316,12 +328,9 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                 kind = msg[0]
                 if kind == "hello":
                     info = msg[1]
-                    if info.get("format") != REMOTE_FORMAT:
-                        self._send(
-                            sock,
-                            ("reject", f"format mismatch: {info.get('format')!r} "
-                                       f"!= {REMOTE_FORMAT!r}"),
-                        )
+                    problem = _hello_mismatch(info)
+                    if problem is not None:
+                        self._send(sock, ("reject", problem))
                         return
                     with server.env_lock:
                         _apply_env(info.get("env") or {})
@@ -329,9 +338,7 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                     if spec is not None:
                         from ..cache.store import RunCache
 
-                        cache = RunCache(
-                            spec["root"], backend=spec.get("backend")
-                        )
+                        cache = RunCache(spec["root"])
                     self._send(
                         sock, ("hello", {"format": REMOTE_FORMAT, "pid": os.getpid()})
                     )
@@ -518,8 +525,13 @@ class RemoteTransport(Transport):
         env = {k: os.environ[k] for k in ENV_KEYS if k in os.environ}
         spec = None
         if self.cache is not None:
-            spec = {"root": str(self.cache.root), "backend": self.cache.backend}
-        return {"format": REMOTE_FORMAT, "env": env, "cache": spec}
+            spec = {"root": str(self.cache.root)}
+        return {
+            "format": REMOTE_FORMAT,
+            "version": __version__,
+            "env": env,
+            "cache": spec,
+        }
 
     def open_round(self) -> "RemoteRound":
         return RemoteRound(self)

@@ -112,6 +112,18 @@ def outcome_fields(report):
     ]
 
 
+def corrupt_row(cache, key: str, text: str = "{not json") -> None:
+    """Overwrite the stored row of *key* in a run cache with *text*,
+    in both the full-entry and the payload column (a torn or
+    hand-edited entry)."""
+    conn = cache.store._conn()
+    with conn:
+        conn.execute(
+            "UPDATE entries SET data = ?, payload = ? WHERE key = ?",
+            (text, text, key),
+        )
+
+
 @pytest.fixture
 def zero_cost() -> CostModel:
     """A cost model where time never advances (pure-ordering tests)."""

@@ -12,7 +12,6 @@ stderr).
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import pytest
@@ -29,6 +28,7 @@ from repro.parallel import ProcessPoolRunner
 from tests.conftest import (
     RING_INVARIANTS,
     RING_SCENARIO,
+    corrupt_row,
     factory_for,
     outcome_fields,
 )
@@ -192,28 +192,27 @@ class TestStore:
     def test_stale_format_reexecuted_and_overwritten(self, cache_dir):
         cache = self._populate(cache_dir)
         key = next(cache.keys())
-        path = cache._path(key)
-        entry = json.loads(path.read_text())
+        entry = cache.entry(key)
         entry["format"] = "repro.cache/0"
-        path.write_text(json.dumps(entry))
-        assert cache.fetch(key) == ("stale", None)
+        cache.store.write_many([(key, entry)])
+        assert cache.get_many([key])[0] == ("stale", None)
         before = perf.CACHE.snapshot()
         explore(RING_SCENARIO, invariants=RING_INVARIANTS, cache=cache_dir)
         d = _delta(before)
         assert d["stale"] == 1 and d["stores"] == 1
-        assert cache.fetch(key)[0] == "hit"
+        assert cache.get_many([key])[0][0] == "hit"
 
     def test_corrupt_json_counts_stale(self, cache_dir):
         cache = self._populate(cache_dir)
         key = next(cache.keys())
-        cache._path(key).write_text("{not json")
-        assert cache.fetch(key) == ("stale", None)
+        corrupt_row(cache, key)
+        assert cache.get_many([key])[0] == ("stale", None)
 
     def test_gc_drops_stale_and_old(self, cache_dir):
         cache = self._populate(cache_dir)
         n = cache.stats()["entries"]
         key = next(cache.keys())
-        cache._path(key).write_text("{not json")
+        corrupt_row(cache, key)
         counts = cache.gc()
         assert counts == {"removed_stale": 1, "removed_old": 0}
         assert cache.stats()["entries"] == n - 1
@@ -226,10 +225,9 @@ class TestStore:
         results = cache.verify(sample=4, seed=1)
         assert len(results) == 4 and all(r.ok for r in results)
         key = next(cache.keys())
-        path = cache._path(key)
-        entry = json.loads(path.read_text())
+        entry = cache.entry(key)
         entry["payload"]["hung"] = not entry["payload"]["hung"]
-        path.write_text(json.dumps(entry))
+        cache.store.write_many([(key, entry)])
         bad = [r for r in cache.verify() if not r.ok]
         assert len(bad) == 1 and bad[0].key == key
         assert any("hung" in d for d in bad[0].diffs)
@@ -240,9 +238,7 @@ class TestStore:
         # Re-file an entry under another entry's key: the stored job no
         # longer hashes to the name it is stored under.
         a, b = keys[0], keys[1]
-        cache._path(b).write_text(
-            json.dumps({**cache.entry(a), "key": a})
-        )
+        cache.store.write_many([(b, {**cache.entry(a), "key": a})])
         drifted = [r for r in cache.verify() if r.error and "key drift" in r.error]
         assert [r.key for r in drifted] == [b]
 
@@ -331,10 +327,9 @@ class TestCli:
         capsys.readouterr()
         cache = RunCache.at(cache_dir)
         key = next(cache.keys())
-        path = cache._path(key)
-        entry = json.loads(path.read_text())
+        entry = cache.entry(key)
         entry["payload"]["violations"] = ["fabricated"]
-        path.write_text(json.dumps(entry))
+        cache.store.write_many([(key, entry)])
         rc = main(["cache", "--cache-dir", str(cache_dir), "verify"])
         out = capsys.readouterr().out
         assert rc == 1

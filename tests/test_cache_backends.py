@@ -1,49 +1,42 @@
-"""The pluggable cache store backends (:mod:`repro.cache.store`).
+"""The SQLite run-cache store (:mod:`repro.cache.store`).
 
-PR 7 split :class:`~repro.cache.RunCache` from its storage: sharded
-JSON files (the original layout) and a single SQLite WAL database now
-sit behind one :class:`~repro.cache.CacheStore` interface.  This suite
-pins the *contract* both must satisfy — byte-identical warm sweeps
-(serial and pooled), sorted backend-independent key listings, the full
-``stats``/``gc``/``verify`` maintenance surface, concurrent-writer
-safety — plus the selection precedence (explicit > env > auto-detect)
-and ``migrate`` in both directions.  Every behavioural test is
-parameterized over both backends; a backend that cannot pass this file
-cannot be selected.
+This suite pins the store's *contract*: byte-identical warm sweeps
+(serial and pooled), sorted key listings, one-pass hit/miss/stale
+classification, the full ``stats``/``gc``/``verify`` maintenance
+surface, concurrent-writer safety, and crash safety — a writer killed
+in the middle of a large ``put_many`` leaves a database that passes
+``PRAGMA integrity_check`` and never serves a wrong payload.
 """
 
 from __future__ import annotations
 
 import base64
+import json
+import os
 import pickle
+import select
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro import perf
-from repro.cache import (
-    BACKENDS,
-    CachedRunner,
-    RunCache,
-    detect_backend,
-    job_key,
-    make_store,
-)
+from repro.cache import CachedRunner, RunCache, job_key
 from repro.cache.store import CORRUPT, KEY_FORMAT
 from repro.cli import main
 from repro.faults import run_campaign
 from repro.parallel import ProcessPoolRunner
-from tests.conftest import RING_INVARIANTS, RING_SCENARIO
+from tests.conftest import RING_INVARIANTS, RING_SCENARIO, corrupt_row
 
-
-@pytest.fixture(params=list(BACKENDS))
-def backend(request):
-    return request.param
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
-def cache(tmp_path, backend):
-    return RunCache(tmp_path / "cache", backend=backend)
+def cache(tmp_path):
+    return RunCache(tmp_path / "cache")
 
 
 def _campaign(cache=None, runner=None, runs=6):
@@ -93,9 +86,25 @@ class TestSweepContract:
         )
         assert serial.format() == pooled.format()
 
+    def test_legacy_json_shards_are_misses(self, tmp_path, cache):
+        # A directory left by the old one-file-per-entry layout
+        # (root/<key[:2]>/<key>.json) is not read: its jobs are
+        # recomputed, never served from the shards.
+        donor = RunCache(tmp_path / "donor")
+        off = _campaign(cache=donor)
+        keys = list(donor.keys())
+        for key in keys:
+            shard = cache.root / key[:2]
+            shard.mkdir(parents=True, exist_ok=True)
+            (shard / f"{key}.json").write_text(json.dumps(donor.entry(key)))
+        assert [s for s, _ in cache.get_many(keys)] == ["miss"] * len(keys)
+        before = perf.CACHE.snapshot()
+        assert _campaign(cache=cache).format() == off.format()
+        assert perf.CACHE.delta(before)["misses"] == len(keys) == 6
+
 
 # ---------------------------------------------------------------------------
-# Store primitives: batched ops, sorted keys, stats
+# Store primitives: one-pass classification, sorted keys, stats
 # ---------------------------------------------------------------------------
 
 
@@ -106,45 +115,45 @@ class TestStorePrimitives:
         statuses = [s for s, _ in cache.get_many(probe)]
         assert statuses == ["hit", "miss", "hit"]
 
-    def test_keys_sorted_and_backend_independent(self, tmp_path):
-        listings = []
-        for name in BACKENDS:
-            c = RunCache(tmp_path / name, backend=name)
-            expected = _fill(c)
-            listing = list(c.keys())
-            assert listing == expected
-            listings.append(listing)
-        assert listings[0] == listings[1]
+    def test_get_many_classifies_every_status_in_one_call(self, cache):
+        keys = _fill(cache, n=4)
+        entry = cache.entry(keys[1])
+        cache.store.write_many(
+            [(keys[1], {**entry, "format": "repro.cache/0"})]
+        )
+        corrupt_row(cache, keys[2])
+        cache.store.write_many(
+            [(keys[3], {**cache.entry(keys[3]), "payload": [3]})]
+        )
+        probe = keys + ["ee" * 32, keys[0]]
+        assert cache.get_many(probe) == [
+            ("hit", {"value": 0}),
+            ("stale", None),
+            ("stale", None),
+            ("stale", None),
+            ("miss", None),
+            ("hit", {"value": 0}),
+        ]
+        assert [cache.get_many([k])[0] for k in probe] == cache.get_many(probe)
 
-    def test_corrupt_entry_classified_stale(self, cache, backend):
+    def test_keys_sorted(self, cache):
+        expected = _fill(cache)
+        assert list(cache.keys()) == expected
+
+    def test_corrupt_entry_classified_stale(self, cache):
         (key,) = _fill(cache, n=1)
-        if backend == "json":
-            cache._path(key).write_text("not json {")
-        else:
-            conn = cache.store._conn()
-            conn.execute(
-                "UPDATE entries SET data = 'not json {', "
-                "payload = 'not json {'", ()
-            )
-            conn.commit()
+        corrupt_row(cache, key, "not json {")
         assert cache.store.read(key) is CORRUPT
-        assert cache.fetch(key) == ("stale", None)
         assert cache.get_many([key]) == [("stale", None)]
 
-    def test_stats(self, cache, backend):
+    def test_stats(self, cache):
         _fill(cache)
         s = cache.stats()
-        assert s["backend"] == backend
+        assert s["backend"] == "sqlite"
         assert s["format"] == KEY_FORMAT
         assert s["entries"] == 5
         assert s["total_bytes"] > 0
         assert s["oldest_mtime"] <= s["newest_mtime"]
-
-    def test_clear_then_detect_fresh(self, cache, backend):
-        _fill(cache)
-        cache.store.clear()
-        assert list(cache.keys()) == []
-        assert detect_backend(cache.root) is None
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +167,11 @@ class TestMaintenance:
         # Stale format: rewrite one raw entry under an older format tag.
         entry = cache.entry(keys[0])
         entry["format"] = "repro.cache/0"
-        cache.store.write(keys[0], entry)
+        cache.store.write_many([(keys[0], entry)])
         # Old entry: push one stored_at into the distant past.
         entry = cache.entry(keys[1])
         entry["stored_at"] = 1.0
-        cache.store.write(keys[1], entry)
+        cache.store.write_many([(keys[1], entry)])
         counts = cache.gc(max_age_s=86400.0)
         assert counts == {"removed_stale": 1, "removed_old": 1}
         assert list(cache.keys()) == [keys[2]]
@@ -172,7 +181,7 @@ class TestMaintenance:
         key = next(iter(cache.keys()))
         entry = cache.entry(key)
         entry["payload"]["hung"] = not entry["payload"]["hung"]
-        cache.store.write(key, entry)
+        cache.store.write_many([(key, entry)])
         results = {r.key: r for r in cache.verify()}
         assert not results[key].ok
         assert any("hung" in d for d in results[key].diffs)
@@ -182,7 +191,7 @@ class TestMaintenance:
         _campaign(cache=cache, runs=1)
         key = next(iter(cache.keys()))
         drifted = "ab" * 32
-        cache.store.write(drifted, cache.entry(key))
+        cache.store.write_many([(drifted, cache.entry(key))])
         bad = [r for r in cache.verify() if r.key == drifted]
         assert len(bad) == 1 and not bad[0].ok
         assert "key drift" in (bad[0].error or "")
@@ -192,13 +201,13 @@ class TestMaintenance:
         key = next(iter(cache.keys()))
         entry = cache.entry(key)
         entry["job_pickle"] = base64.b64encode(b"junk").decode("ascii")
-        cache.store.write(key, entry)
+        cache.store.write_many([(key, entry)])
         (r,) = cache.verify()
         assert not r.ok and "unpicklable" in (r.error or "")
 
 
 # ---------------------------------------------------------------------------
-# Concurrency: parallel writers may interleave, never tear
+# Concurrency and crashes: writers may interleave or die, never tear
 # ---------------------------------------------------------------------------
 
 
@@ -223,117 +232,92 @@ class TestConcurrentWriters:
         assert statuses == ["hit"] * 32
 
 
-# ---------------------------------------------------------------------------
-# Selection precedence and migration
-# ---------------------------------------------------------------------------
+#: Child process for the crash test: commit a real campaign, then start
+#: one large ``put_many`` and stall inside it (after the batch has
+#: spilled uncommitted pages into the WAL) until the parent kills it.
+_CRASH_WRITER = """\
+import os, sys, time
+from repro.cache import RunCache
+from repro.faults import run_campaign
+from tests.conftest import RING_INVARIANTS, RING_SCENARIO
+
+cache = RunCache(sys.argv[1])
+n = int(sys.argv[2])
+run_campaign(RING_SCENARIO, seeds=range(3), horizon=2e-5,
+             invariants=RING_INVARIANTS, cache=cache)
+wal = str(cache.store.path) + "-wal"
+committed = os.path.getsize(wal)
+
+def items():
+    for i in range(n):
+        if i == n - 1:
+            print("stalled", committed, os.path.getsize(wal), flush=True)
+            time.sleep(120)
+        yield f"{i:064x}", {"seed": i}, ("crash-probe", i)
+
+cache.put_many(items())
+"""
 
 
-class TestSelection:
-    def test_explicit_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "json")
-        c = RunCache(tmp_path / "c", backend="sqlite")
-        assert c.backend == "sqlite"
+class TestCrashSafety:
+    BATCH = 8000
 
-    def test_env_beats_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
-        assert RunCache(tmp_path / "c").backend == "sqlite"
+    def test_sigkill_mid_put_many_leaves_no_wrong_payload(self, tmp_path):
+        root = tmp_path / "cache"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _CRASH_WRITER, str(root), str(self.BATCH)],
+            cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 120)
+            assert ready, "writer never reached the stalled put_many"
+            line = proc.stdout.readline().split()
+            assert line and line[0] == "stalled", f"writer died: {line!r}"
+            # The doomed batch really reached the disk, uncommitted.
+            assert int(line[2]) > int(line[1])
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+            proc.stdout.close()
+        assert proc.returncode == -signal.SIGKILL
 
-    def test_auto_detect_on_reopen(self, tmp_path, backend):
-        root = tmp_path / "c"
-        _fill(RunCache(root, backend=backend))
-        assert detect_backend(root) == backend
-        assert RunCache(root).backend == backend
-
-    def test_fresh_dir_defaults_to_json(self, tmp_path):
-        assert RunCache(tmp_path / "nothing-here").backend == "json"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            RunCache(tmp_path / "c", backend="parquet")
-
-
-class TestMigrate:
-    def test_round_trip_preserves_raw_entries(self, tmp_path):
-        cache = RunCache(tmp_path / "c", backend="json")
-        _campaign(cache=cache, runs=3)
-        originals = {k: cache.entry(k) for k in cache.keys()}
-
-        counts = cache.migrate("sqlite")
-        assert counts["migrated"] == len(originals)
-        assert cache.backend == "sqlite"
-        assert RunCache(tmp_path / "c").backend == "sqlite"  # detection flips
-        assert {k: cache.entry(k) for k in cache.keys()} == originals
-
-        cache.migrate("json")
-        assert cache.backend == "json"
-        assert {k: cache.entry(k) for k in cache.keys()} == originals
-        # Migrated entries still verify: stored_at/job_pickle survived raw.
-        assert all(r.ok for r in cache.verify())
-
-    def test_migrate_to_dest_leaves_source(self, tmp_path):
-        cache = RunCache(tmp_path / "src", backend="json")
-        keys = _fill(cache)
-        counts = cache.migrate("sqlite", dest=tmp_path / "dst")
-        assert counts == {"migrated": 5, "skipped": 0, "backend": "sqlite"}
-        assert cache.backend == "json" and list(cache.keys()) == keys
-        dst = RunCache(tmp_path / "dst")
-        assert dst.backend == "sqlite" and list(dst.keys()) == keys
-
-    def test_corrupt_entries_do_not_survive(self, tmp_path):
-        cache = RunCache(tmp_path / "c", backend="json")
-        keys = _fill(cache, n=3)
-        cache._path(keys[0]).write_text("not json {")
-        counts = cache.migrate("sqlite")
-        assert counts["migrated"] == 2 and counts["skipped"] == 1
-        assert list(cache.keys()) == keys[1:]
-
-    def test_same_backend_in_place_is_noop(self, cache, backend):
-        _fill(cache)
-        assert cache.migrate(backend)["migrated"] == 0
-        assert len(list(cache.keys())) == 5
+        cache = RunCache(root)
+        conn = cache.store._conn()
+        assert conn.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+        survivors = list(cache.keys())
+        assert len(survivors) == 3  # only the committed campaign
+        probes = [f"{i:064x}" for i in range(self.BATCH)]
+        classified = cache.get_many(survivors + probes)
+        assert [s for s, _ in classified] == ["hit"] * 3 + ["miss"] * self.BATCH
+        for key, (_, payload) in zip(survivors, classified):
+            assert payload == cache.entry(key)["payload"]
+        results = cache.verify()
+        assert len(results) == 3
+        assert all(r.ok and not r.diffs for r in results)
 
 
 # ---------------------------------------------------------------------------
-# CLI: stats names the backend; migrate converts in place
+# CLI: stats names the store
 # ---------------------------------------------------------------------------
 
 
 class TestCli:
-    def test_stats_names_backend(self, tmp_path, capsys, backend):
+    def test_stats_names_backend(self, tmp_path, capsys):
         root = tmp_path / "c"
-        _fill(RunCache(root, backend=backend), n=2)
+        _fill(RunCache(root), n=2)
         assert main(["cache", "--cache-dir", str(root), "stats"]) == 0
         out = capsys.readouterr().out
-        assert f"backend:  {backend}" in out
+        assert "backend:  sqlite" in out
         assert "entries:  2" in out
         assert "bytes" in out
 
-    def test_migrate_cli(self, tmp_path, capsys):
-        root = tmp_path / "c"
-        _fill(RunCache(root, backend="json"), n=4)
-        rc = main(["cache", "--cache-dir", str(root), "migrate",
-                   "--to", "sqlite"])
-        assert rc == 0
-        assert "migrated 4 entr(ies) to sqlite" in capsys.readouterr().out
-        assert detect_backend(root) == "sqlite"
-
-    def test_cache_backend_flag_publishes_env(self, tmp_path, capsys,
-                                              monkeypatch):
-        # setenv (not delenv) so teardown restores the pre-test state even
-        # though main() itself rewrites the variable ("" is falsy to the
-        # precedence chain, so it does not select a backend).
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "")
-        root = tmp_path / "c"
-        rc = main(["campaign", "--nprocs", "4", "--iters", "3",
-                   "--runs", "4", "--cache", "--cache-dir", str(root),
-                   "--cache-backend", "sqlite"])
-        assert rc == 0
-        capsys.readouterr()
-        assert detect_backend(root) == "sqlite"
-
 
 # ---------------------------------------------------------------------------
-# Protocol participation in the key surface (PR 8 regression)
+# Protocol participation in the key surface
 # ---------------------------------------------------------------------------
 
 
@@ -400,15 +384,10 @@ class TestProtocolKeying:
         assert again == sr_rec
 
 
-def test_make_store_rejects_unknown(tmp_path):
-    with pytest.raises(ValueError):
-        make_store("tar", tmp_path)
-
-
 def test_job_key_still_covers_pickled_jobs(tmp_path):
     """Sanity anchor: entries written through the public API recompute
     to their own key (the property `verify` leans on)."""
-    cache = RunCache(tmp_path / "c", backend="sqlite")
+    cache = RunCache(tmp_path / "c")
     _campaign(cache=cache, runs=2)
     for key in cache.keys():
         entry = cache.entry(key)

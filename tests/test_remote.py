@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro import perf
 from repro.cache import RunCache
 from repro.faults import run_campaign
@@ -31,7 +32,14 @@ from repro.parallel import (
     WorkerServer,
     parse_worker_addrs,
 )
-from repro.parallel.remote import _execute_chunk, _FrameBuffer, _pack, ping
+from repro.parallel import remote
+from repro.parallel.remote import (
+    _execute_chunk,
+    _FrameBuffer,
+    _pack,
+    _recv_frame,
+    ping,
+)
 from repro.parallel.scenarios import RingScenario
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
@@ -268,6 +276,49 @@ class TestRemoteRunner:
             stream_window=1,
         )
         assert streamed.format() == materialized.format()
+
+
+class TestHandshake:
+    """The ``hello`` refuses a parent the worker cannot serve exactly:
+    another wire format, or another ``repro.__version__`` (cache keys
+    are salted with the version, so a skewed worker would key jobs
+    unlike its parent)."""
+
+    def _hello(self, addr, info):
+        with socket.create_connection(addr, timeout=5) as sock:
+            sock.sendall(_pack(("hello", info))[0])
+            return _recv_frame(sock)[0]
+
+    def test_matching_hello_is_accepted(self, worker_addr):
+        info = remote.RemoteTransport([worker_addr])._hello_info()
+        assert info["version"] == repro.__version__
+        assert self._hello(worker_addr, info)[0] == "hello"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("version", "0.0.0-skewed"), ("version", None),
+         ("format", "repro.remote/0")],
+    )
+    def test_skewed_hello_is_rejected(self, worker_addr, field, value):
+        info = remote.RemoteTransport([worker_addr])._hello_info()
+        info[field] = value
+        reply = self._hello(worker_addr, info)
+        assert reply[0] == "reject"
+        assert f"{field} mismatch" in reply[1]
+
+    def test_version_skewed_worker_refuses_the_sweep(
+        self, worker_addr, monkeypatch
+    ):
+        # The in-process worker runs another release than the parent.
+        monkeypatch.setattr(remote, "__version__", "0.0.0-skewed")
+        hello = remote.RemoteTransport._hello_info
+        monkeypatch.setattr(
+            remote.RemoteTransport, "_hello_info",
+            lambda self: {**hello(self), "version": repro.__version__},
+        )
+        runner = RemoteRunner(addresses=[worker_addr])
+        with pytest.raises(SweepError, match="version mismatch"):
+            runner.run([SquareJob(1)])
 
 
 # ---------------------------------------------------------------------------
