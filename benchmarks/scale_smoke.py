@@ -1,13 +1,13 @@
-"""Campaign-scale smoke: streamed memory is independent of campaign size.
+"""Campaign-scale smoke: campaign memory is independent of campaign size.
 
-The streaming pipeline's claim (``docs/performance.md``) is that
-``run_campaign(..., stream=True)`` holds a bounded window of jobs and
-results no matter how many seeds the campaign samples.  This driver
-pins it the only way that is honest: run two streamed campaigns that
-differ 10x in size, *each in a fresh child process* (peak RSS is
-monotone within a process), and assert the larger one's peak RSS is
-within a small tolerance of the smaller one's.  A materialized campaign
-fails this immediately — its job and run lists grow linearly.
+Every sweep streams (``docs/performance.md``): ``repro campaign`` holds
+a bounded window of jobs and folds runs into running counts, no matter
+how many seeds it samples.  This driver pins that the only way that is
+honest: run two ``repro campaign`` commands that differ 10x in
+``--runs``, *each in a fresh child process* (peak RSS is monotone
+within a process), and assert the larger one's peak RSS is within a
+small tolerance of the smaller one's.  A campaign that kept its job or
+run list would fail this immediately — those grow linearly.
 
 CI runs it as the ``campaign-scale`` job::
 
@@ -20,24 +20,36 @@ stays under the ceiling.  ``--child N`` is the internal re-entry point.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import re
 import resource
 import subprocess
 import sys
 
 
 def child(runs: int, nprocs: int, iters: int) -> None:
-    """Run one streamed campaign and report summary + peak RSS as JSON."""
-    from repro.faults import run_campaign
-    from repro.parallel import RingScenario, StandardRingInvariants
+    """Run ``repro campaign`` through the CLI, as a user would, and
+    report its summary line + peak RSS as JSON."""
+    from repro.cli import main
 
-    summary = run_campaign(
-        RingScenario(nprocs=nprocs, iters=iters),
-        seeds=range(runs),
-        horizon=2e-5,
-        invariants=StandardRingInvariants(iters, nprocs),
-        stream=True,
-    ).summary()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["campaign", "--runs", str(runs), "--nprocs", str(nprocs),
+              "--iters", str(iters), "--horizon", "2e-5"])
+    head = out.getvalue().splitlines()[0]
+    m = re.fullmatch(
+        r"campaign: (\d+) runs, (\d+) ok, (\d+) hangs, "
+        r"(\d+) violating, (\d+) aborts",
+        head,
+    )
+    if m is None:
+        raise SystemExit(f"unexpected campaign report: {head!r}")
+    summary = dict(
+        zip(("runs", "ok", "hangs", "violations", "aborts"),
+            map(int, m.groups()))
+    )
     summary["peak_rss_kb"] = resource.getrusage(
         resource.RUSAGE_SELF
     ).ru_maxrss

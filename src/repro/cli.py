@@ -69,10 +69,13 @@ Subcommands
     stay byte-identical (a ``[cache] hits=…`` accounting line goes to
     stderr).  The store is one SQLite WAL database per cache directory.
 
-The sweep subcommands also take ``--stream``: jobs flow through the
-bounded-window streaming pipeline and are folded into running counts,
-so a million-run campaign needs O(failures) memory while printing the
-identical report.  ``fuzz --coverage`` switches to coverage-guided
+The sweep subcommands share one option group (``--workers``, the
+transport flags, ``--fibers``, ``--cache``/``--cache-dir``), and
+``explore``, ``campaign`` and ``fuzz`` also take ``--telemetry`` and
+``--spans``.  Every sweep streams: jobs are built lazily, run in
+bounded windows, and folded into running counts, so a million-run
+campaign needs O(failures) memory (``fuzz --verbose`` keeps every
+outcome to list it).  ``fuzz --coverage`` switches to coverage-guided
 fuzzing (novel-cell corpus + mutation; see ``docs/testing.md``).
 
 Examples::
@@ -97,6 +100,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from typing import Sequence
 
 from .analysis import (
@@ -121,7 +125,7 @@ from .core import (
     make_rootft_main,
 )
 from .faults import FailureSchedule, explore, run_campaign
-from .parallel import RingScenario, StandardRingInvariants
+from .parallel import RingScenario, StandardRingInvariants, make_runner
 from .simmpi import Simulation
 
 
@@ -179,8 +183,8 @@ def _apply_fibers(args: argparse.Namespace) -> None:
 
 def _positive_int(value: str) -> int:
     """argparse type for counts that must be >= 1 (``--workers``,
-    ``--stream-window``): a clear parse-time error instead of a
-    traceback from the runner constructor."""
+    ``top --top``): a clear parse-time error instead of a traceback
+    from the runner constructor."""
     try:
         n = int(value)
     except ValueError:
@@ -233,15 +237,16 @@ def _bind_addr(value: str):
     return _worker_addr(value)
 
 
-def _add_workers_arg(p: argparse.ArgumentParser, what: str = "runs") -> None:
+def _add_sweep_args(p: argparse.ArgumentParser, what: str = "runs") -> None:
+    """The options every sweep subcommand (``explore``, ``campaign``,
+    ``fuzz``, ``compare-protocols``) shares: where the jobs execute, on
+    which fiber backend, and whether the run cache answers them.  None
+    of them changes a report; :func:`_sweep_scope` applies them."""
     p.add_argument(
         "--workers", type=_positive_int, default=None,
         help=f"fan the {what} over N worker processes "
              "(default: serial; the report is identical)",
     )
-
-
-def _add_transport_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--transport", default="local", choices=["local", "remote"],
         help="where sweep jobs execute: 'local' (in-process, or the "
@@ -266,93 +271,7 @@ def _add_transport_args(p: argparse.ArgumentParser) -> None:
         help="socket connect budget per remote worker (default: 5.0; "
              "--transport remote only)",
     )
-
-
-def _add_stream_window_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--stream-window", type=_positive_int, default=None, metavar="N",
-        help="max jobs in flight for --stream (default: the runner's "
-             "window, 1024 serial; any window yields submission-order "
-             "results)",
-    )
-
-
-def _sweep_runner(args: argparse.Namespace):
-    """The runner selected by --transport/--workers-addr, or ``None``
-    to let the entry point build its local runner from ``--workers``."""
-    addrs = getattr(args, "workers_addr", None)
-    if getattr(args, "transport", "local") == "remote":
-        if not addrs:
-            raise SystemExit(
-                "--transport remote requires --workers-addr HOST:PORT[,...]"
-            )
-        from .parallel.remote import RemoteRunner
-
-        return RemoteRunner(
-            addresses=addrs,
-            heartbeat=getattr(args, "heartbeat_interval", 2.0),
-            connect_timeout=getattr(args, "connect_timeout", 5.0),
-        )
-    if addrs:
-        raise SystemExit("--workers-addr requires --transport remote")
-    return None
-
-
-def _report_remote(runner) -> None:
-    """Per-worker transport telemetry on **stderr** (stdout carries the
-    report and must stay byte-identical to a serial run)."""
-    if runner is None:
-        return
-    from .obs.telemetry import runner_worker_stats
-
-    for s in runner_worker_stats(runner):
-        wire = s["bytes_out"] + s["bytes_in"]
-        ratio = s.get("compression")
-        print(
-            f"[remote] {s['worker']} pid={s['pid']} chunks={s['chunks']} "
-            f"jobs={s['jobs']} rtt={s['rtt_s'] * 1e3:.1f}ms wire={wire}B"
-            + (f" ratio={ratio}x" if ratio else "")
-            + f" cache_hits={s['cache_hits']} cache_misses={s['cache_misses']}"
-            + f" disconnects={s['disconnects']}",
-            file=sys.stderr,
-        )
-
-
-def _add_spans_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--spans", default=None, metavar="FILE",
-        help="record orchestration spans (rounds, chunks, wire frames, "
-             "worker-side execution, cache batches) to FILE as "
-             "repro.spans/1 JSONL; inspect with `repro spans FILE`",
-    )
-
-
-def _spans_scope(args: argparse.Namespace):
-    """Context manager installing a span recorder for the sweep when
-    ``--spans FILE`` was given (a no-op otherwise).  The file is written
-    on exit; the announcement goes to stderr so stdout stays
-    byte-identical to a spans-off run."""
-    from contextlib import contextmanager, nullcontext
-
-    path = getattr(args, "spans", None)
-    if not path:
-        return nullcontext()
-    from .obs.spans import SpanRecorder, recording, write_spans
-
-    @contextmanager
-    def scope():
-        recorder = SpanRecorder(kind=args.command)
-        try:
-            with recording(recorder):
-                yield recorder
-        finally:
-            write_spans(path, recorder)
-            print(f"[spans] wrote {path}", file=sys.stderr)
-
-    return scope()
-
-
-def _add_cache_args(p: argparse.ArgumentParser) -> None:
+    _add_fibers_arg(p)
     p.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=False,
         help="reuse classified outcomes from the content-addressed run "
@@ -365,6 +284,43 @@ def _add_cache_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_record_args(p: argparse.ArgumentParser) -> None:
+    """Per-sweep record streams, written beside the report (stdout never
+    changes): per-job telemetry and orchestration spans."""
+    p.add_argument(
+        "--telemetry", default=None, metavar="FILE",
+        help="stream per-job telemetry (JSONL) to FILE; "
+             "aggregate later with `repro report FILE`",
+    )
+    p.add_argument(
+        "--spans", default=None, metavar="FILE",
+        help="record orchestration spans (rounds, chunks, wire frames, "
+             "worker-side execution, cache batches) to FILE as "
+             "repro.spans/1 JSONL; inspect with `repro spans FILE`",
+    )
+
+
+def _sweep_runner(args: argparse.Namespace):
+    """The runner selected by --transport/--workers-addr, or ``None``
+    for a local run (serial, or the ``--workers`` pool)."""
+    addrs = args.workers_addr
+    if args.transport == "remote":
+        if not addrs:
+            raise SystemExit(
+                "--transport remote requires --workers-addr HOST:PORT[,...]"
+            )
+        from .parallel.remote import RemoteRunner
+
+        return RemoteRunner(
+            addresses=addrs,
+            heartbeat=args.heartbeat_interval,
+            connect_timeout=args.connect_timeout,
+        )
+    if addrs:
+        raise SystemExit("--workers-addr requires --transport remote")
+    return None
+
+
 def _cache_arg(args: argparse.Namespace):
     """What the sweep entry points expect: ``None`` (off), a directory,
     or ``True`` (the default directory)."""
@@ -373,28 +329,55 @@ def _cache_arg(args: argparse.Namespace):
     return args.cache_dir if args.cache_dir is not None else True
 
 
-def _cache_counters_snapshot(args: argparse.Namespace):
-    if not args.cache:
-        return None
+@contextmanager
+def _sweep_scope(args: argparse.Namespace):
+    """Set up one sweep subcommand from :func:`_add_sweep_args` /
+    :func:`_add_record_args` options and yield its runner.
+
+    Applies ``--fibers``, builds the runner, snapshots the cache
+    counters, and installs a span recorder when ``--spans FILE`` was
+    given.  On exit it writes the span file, then one ``[cache]`` line
+    and one ``[remote]`` line per remote worker — all on **stderr**, so
+    stdout carries only the report and stays byte-identical with any of
+    these options on or off (CI diffs it).  The span file is written
+    even when the sweep fails.
+    """
     from . import perf
+    from .obs.spans import SpanRecorder, recording, write_spans
+    from .obs.telemetry import runner_worker_stats
 
-    return perf.CACHE.snapshot()
-
-
-def _report_cache(args: argparse.Namespace, before) -> None:
-    """One ``[cache] hits=…`` line on **stderr** — stdout carries the
-    report and must stay byte-identical with the cache on or off (CI
-    diffs it)."""
-    if before is None:
-        return
-    from . import perf
-
-    d = perf.CACHE.delta(before)
-    print(
-        f"[cache] hits={d['hits']} misses={d['misses']} "
-        f"stale={d['stale']} stores={d['stores']}",
-        file=sys.stderr,
-    )
+    _apply_fibers(args)
+    runner = _sweep_runner(args) or make_runner(args.workers)
+    before = perf.CACHE.snapshot() if args.cache else None
+    spans = getattr(args, "spans", None)
+    if spans:
+        recorder = SpanRecorder(kind=args.command)
+        try:
+            with recording(recorder):
+                yield runner
+        finally:
+            write_spans(spans, recorder)
+            print(f"[spans] wrote {spans}", file=sys.stderr)
+    else:
+        yield runner
+    if before is not None:
+        d = perf.CACHE.delta(before)
+        print(
+            f"[cache] hits={d['hits']} misses={d['misses']} "
+            f"stale={d['stale']} stores={d['stores']}",
+            file=sys.stderr,
+        )
+    for s in runner_worker_stats(runner):
+        wire = s["bytes_out"] + s["bytes_in"]
+        ratio = s.get("compression")
+        print(
+            f"[remote] {s['worker']} pid={s['pid']} chunks={s['chunks']} "
+            f"jobs={s['jobs']} rtt={s['rtt_s'] * 1e3:.1f}ms wire={wire}B"
+            + (f" ratio={ratio}x" if ratio else "")
+            + f" cache_hits={s['cache_hits']} cache_misses={s['cache_misses']}"
+            + f" disconnects={s['disconnects']}",
+            file=sys.stderr,
+        )
 
 
 def _common_sim(args: argparse.Namespace, nprocs: int) -> Simulation:
@@ -486,15 +469,12 @@ def _ring_scenario(args: argparse.Namespace) -> RingScenario:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    _apply_fibers(args)
     ranks = None if args.rootft else list(range(1, args.nprocs))
     progress = None
     if args.progress:
         def progress(done: int, total: int) -> None:
             print(f"[explore] {done}/{total} scenarios", file=sys.stderr)
-    before = _cache_counters_snapshot(args)
-    runner = _sweep_runner(args)
-    with _spans_scope(args):
+    with _sweep_scope(args) as runner:
         rep = explore(
             _ring_scenario(args),
             invariants=StandardRingInvariants(
@@ -508,23 +488,17 @@ def cmd_explore(args: argparse.Namespace) -> int:
             cache=_cache_arg(args),
             progress=progress,
             telemetry=args.telemetry,
-            stream=args.stream,
-            stream_window=args.stream_window,
+            stream=True,
         )
-    print(rep.format())
-    _report_cache(args, before)
-    _report_remote(runner)
+        print(rep.format())
     return 1 if rep.failures else 0
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    _apply_fibers(args)
     eligible = None
     if args.rootft:
         eligible = list(range(args.nprocs))  # the root may die too
-    before = _cache_counters_snapshot(args)
-    runner = _sweep_runner(args)
-    with _spans_scope(args):
+    with _sweep_scope(args) as runner:
         rep = run_campaign(
             _ring_scenario(args),
             seeds=range(args.first_seed, args.first_seed + args.runs),
@@ -538,39 +512,31 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             runner=runner,
             cache=_cache_arg(args),
             telemetry=args.telemetry,
-            stream=args.stream,
-            stream_window=args.stream_window,
+            stream=True,
         )
-    print(rep.format())
-    _report_cache(args, before)
-    _report_remote(runner)
+        print(rep.format())
     return 1 if rep.failures else 0
 
 
 def cmd_compare_protocols(args: argparse.Namespace) -> int:
     from .protocols import PROTOCOLS, run_compare_protocols
 
-    _apply_fibers(args)
     protocols = tuple(args.protocols) if args.protocols else PROTOCOLS
-    before = _cache_counters_snapshot(args)
-    runner = _sweep_runner(args)
-    rep = run_compare_protocols(
-        nprocs=args.nprocs,
-        iters=args.iters,
-        seeds=range(args.first_seed, args.first_seed + args.runs),
-        horizon=args.horizon,
-        kills_per_run=args.kills,
-        protocols=protocols,
-        spares=args.spares,
-        sim_seed=args.seed,
-        detection_latency=args.detection_latency,
-        workers=args.workers,
-        runner=runner,
-        cache=_cache_arg(args),
-    )
-    print(rep.format())
-    _report_cache(args, before)
-    _report_remote(runner)
+    with _sweep_scope(args) as runner:
+        rep = run_compare_protocols(
+            nprocs=args.nprocs,
+            iters=args.iters,
+            seeds=range(args.first_seed, args.first_seed + args.runs),
+            horizon=args.horizon,
+            kills_per_run=args.kills,
+            protocols=protocols,
+            spares=args.spares,
+            sim_seed=args.seed,
+            detection_latency=args.detection_latency,
+            runner=runner,
+            cache=_cache_arg(args),
+        )
+        print(rep.format())
     s = rep.summary()
     bad = sum(s[p]["hangs"] + s[p]["violations"] for p in protocols)
     return 1 if bad else 0
@@ -683,39 +649,47 @@ def _fuzz_scenario(args: argparse.Namespace):
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    _apply_fibers(args)
     from pathlib import Path
 
-    from .fuzz import fuzz, write_repro
-    from .parallel import make_runner
+    from .fuzz import coverage_fuzz, fuzz, write_repro
 
     if args.coverage:
-        from .fuzz import coverage_fuzz
-
-        rep = coverage_fuzz(
-            _fuzz_scenario(args),
-            budget=args.runs,
-            seed=args.fuzz_seed,
-            runner=_sweep_runner(args) or make_runner(args.workers),
-            guided=not args.coverage_uniform,
-            max_jitter=args.max_jitter,
-            min_kills=args.min_kills,
-            max_kills=args.max_kills,
-            horizon=args.horizon,
-        )
-        print(rep.format())
+        ignored = [
+            flag for flag, value in (
+                ("--cache", args.cache),
+                ("--telemetry", args.telemetry),
+                ("--out-dir", args.out_dir),
+                ("--no-shrink", args.no_shrink),
+                ("--verbose", args.verbose),
+            ) if value
+        ]
+        if ignored:
+            raise SystemExit(
+                f"fuzz --coverage does not support {', '.join(ignored)}"
+            )
+        with _sweep_scope(args) as runner:
+            rep = coverage_fuzz(
+                _fuzz_scenario(args),
+                budget=args.runs,
+                seed=args.fuzz_seed,
+                runner=runner,
+                guided=not args.coverage_uniform,
+                max_jitter=args.max_jitter,
+                min_kills=args.min_kills,
+                max_kills=args.max_kills,
+                horizon=args.horizon,
+            )
+            print(rep.format())
         if args.coverage_out:
             print(f"wrote {rep.write(args.coverage_out)}", file=sys.stderr)
         return 1 if rep.failures else 0
 
-    before = _cache_counters_snapshot(args)
-    runner = _sweep_runner(args)
-    with _spans_scope(args):
+    with _sweep_scope(args) as runner:
         report = fuzz(
             _fuzz_scenario(args),
             runs=args.runs,
             seed=args.fuzz_seed,
-            runner=runner or make_runner(args.workers),
+            runner=runner,
             cache=_cache_arg(args),
             shrink_failures=not args.no_shrink,
             max_jitter=args.max_jitter,
@@ -723,13 +697,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             max_kills=args.max_kills,
             horizon=args.horizon,
             telemetry=args.telemetry,
-            stream=args.stream,
-            stream_window=args.stream_window,
+            # --verbose lists every outcome, so only it keeps them all.
+            stream=not args.verbose,
         )
-    print(report.format(verbose=args.verbose)
-          if not args.stream else report.format())
-    _report_cache(args, before)
-    _report_remote(runner)
+        print(report.format(verbose=True) if args.verbose
+              else report.format())
     if args.out_dir and report.failures:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -1052,21 +1024,11 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--limit", type=int, default=None, metavar="N",
                     help="cap the enumeration at the first N windows "
                          "(the report names what was considered)")
-    _add_workers_arg(ex, "re-runs")
-    _add_transport_args(ex)
     ex.add_argument("--progress", action="store_true",
                     help="report sweep liveness on stderr as batches "
                          "complete")
-    _add_fibers_arg(ex)
-    ex.add_argument("--telemetry", default=None, metavar="FILE",
-                    help="stream per-job telemetry (JSONL) to FILE; "
-                         "aggregate later with `repro report FILE`")
-    ex.add_argument("--stream", action="store_true",
-                    help="pipe windows through the streaming pipeline "
-                         "(O(failures) memory; same report text)")
-    _add_stream_window_arg(ex)
-    _add_spans_arg(ex)
-    _add_cache_args(ex)
+    _add_sweep_args(ex, "re-runs")
+    _add_record_args(ex)
     ex.set_defaults(fn=cmd_explore)
 
     camp = sub.add_parser(
@@ -1088,19 +1050,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="kill times are sampled uniformly in [0, horizon)")
     camp.add_argument("--kills", type=int, default=1,
                       help="fail-stops injected per run")
-    _add_workers_arg(camp)
-    _add_transport_args(camp)
-    _add_fibers_arg(camp)
-    camp.add_argument("--telemetry", default=None, metavar="FILE",
-                      help="stream per-job telemetry (JSONL) to FILE; "
-                           "aggregate later with `repro report FILE`")
-    camp.add_argument("--stream", action="store_true",
-                      help="pipe runs through the streaming pipeline — "
-                           "memory stays O(failures) however large --runs "
-                           "gets; the report text is identical")
-    _add_stream_window_arg(camp)
-    _add_spans_arg(camp)
-    _add_cache_args(camp)
+    _add_sweep_args(camp)
+    _add_record_args(camp)
     camp.set_defaults(fn=cmd_campaign)
 
     cp = sub.add_parser(
@@ -1131,10 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fail-stops injected per run")
     cp.add_argument("--spares", type=int, default=2,
                     help="spare ranks for partial_restart")
-    _add_workers_arg(cp)
-    _add_transport_args(cp)
-    _add_fibers_arg(cp)
-    _add_cache_args(cp)
+    _add_sweep_args(cp)
     cp.set_defaults(fn=cmd_compare_protocols)
 
     heat = sub.add_parser("heat", help="fault-tolerant heat diffusion")
@@ -1211,23 +1159,12 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--horizon", type=float, default=None,
                     help="kill-time upper bound (default: measured from "
                          "an unperturbed run)")
-    _add_workers_arg(fz)
-    _add_transport_args(fz)
     fz.add_argument("--no-shrink", action="store_true",
                     help="skip delta-debugging of failures")
     fz.add_argument("--out-dir", default=None, metavar="DIR",
                     help="write a .repro.json per failure into DIR")
     fz.add_argument("--verbose", action="store_true",
                     help="list every outcome, not just failures")
-    _add_fibers_arg(fz)
-    fz.add_argument("--telemetry", default=None, metavar="FILE",
-                    help="stream per-job telemetry (JSONL) to FILE; "
-                         "aggregate later with `repro report FILE`")
-    fz.add_argument("--stream", action="store_true",
-                    help="pipe configs through the streaming pipeline "
-                         "(O(failures) memory; --verbose unavailable)")
-    _add_stream_window_arg(fz)
-    _add_spans_arg(fz)
     fz.add_argument("--coverage", action="store_true",
                     help="coverage-guided mode: keep configs that hit "
                          "novel coverage cells and mutate them (--runs "
@@ -1238,7 +1175,8 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--coverage-out", default=None, metavar="FILE",
                     help="write the coverage report (cells, outcome "
                          "histogram, failing configs) as JSON to FILE")
-    _add_cache_args(fz)
+    _add_sweep_args(fz)
+    _add_record_args(fz)
     fz.set_defaults(fn=cmd_fuzz)
 
     ca = sub.add_parser(

@@ -7,8 +7,8 @@ across many seeds — the style of testing the paper's §III-E describes as
 "intensive use of fault injection tools".
 
 Every sampled run is an independent deterministic simulation, so a
-campaign is embarrassingly parallel: :func:`run_campaign` builds one
-picklable :class:`CampaignJob` per seed and hands the batch to a
+campaign is embarrassingly parallel: :func:`run_campaign` lazily builds
+one picklable :class:`CampaignJob` per seed and streams them through a
 :class:`~repro.parallel.SweepRunner`.  Results are merged in seed order
 regardless of completion order, making the :class:`CampaignReport`
 bit-identical between serial and pooled execution (see
@@ -26,6 +26,7 @@ from ..parallel.jobs import (
     ScenarioFactory,
     check_invariants,
 )
+from ..obs.telemetry import run_recorded
 from ..parallel.runner import SweepRunner, make_runner
 from ..simmpi.runtime import SimulationResult
 from .injector import CompositeInjector, KillAtTime
@@ -49,8 +50,8 @@ class CampaignRun:
 
 def _format_campaign(s: dict[str, int], failures: Sequence[CampaignRun]) -> str:
     """One report body shared by :class:`CampaignReport` and
-    :class:`CampaignSummary`, so streamed and materialized campaigns
-    render byte-identical reports."""
+    :class:`CampaignSummary`, so both folds of a campaign render
+    byte-identical reports."""
     lines = [
         f"campaign: {s['runs']} runs, {s['ok']} ok, {s['hangs']} hangs, "
         f"{s['violations']} violating, {s['aborts']} aborts"
@@ -69,7 +70,10 @@ def _format_campaign(s: dict[str, int], failures: Sequence[CampaignRun]) -> str:
 class CampaignReport:
     """Aggregate over all sampled runs."""
 
-    runs: list[CampaignRun]
+    runs: list[CampaignRun] = field(default_factory=list)
+
+    def add(self, run: CampaignRun) -> None:
+        self.runs.append(run)
 
     @property
     def failures(self) -> list[CampaignRun]:
@@ -90,13 +94,13 @@ class CampaignReport:
 
 @dataclass
 class CampaignSummary:
-    """Streaming counterpart of :class:`CampaignReport`: running counts
-    plus the (rare) failing runs, never the full run list.
+    """O(failures) counterpart of :class:`CampaignReport`: running
+    counts plus the (rare) failing runs, never the full run list.
 
     Produced by ``run_campaign(..., stream=True)`` — a 10^6-seed
     campaign holds O(failures) memory instead of O(runs).
-    ``summary()`` and ``format()`` are byte-identical to the
-    materialized report's.
+    ``summary()`` and ``format()`` are byte-identical to the full
+    report's.
     """
 
     runs: int = 0
@@ -227,7 +231,6 @@ def run_campaign(
     cache: Any = None,
     telemetry: str | None = None,
     stream: bool = False,
-    stream_window: int | None = None,
 ) -> "CampaignReport | CampaignSummary":
     """Sample ``len(seeds)`` runs, each killing ``kills_per_run`` distinct
     ranks at uniform-random virtual times in ``[0, horizon)``.
@@ -252,14 +255,13 @@ def run_campaign(
     (see :mod:`repro.obs.telemetry`); its canonical form is identical
     between serial and pooled campaigns.
 
-    ``stream=True`` pipes the jobs through the runner's ``run_stream``
-    (bounded in-flight windows, lazily built jobs) and folds runs into
-    a :class:`CampaignSummary` as they complete — memory stays
-    O(failures) regardless of ``len(seeds)``, and ``summary()`` /
-    ``format()`` are byte-identical to the materialized report's.
-    ``stream_window`` overrides the runner's in-flight window size
-    (``--stream-window`` on the CLI); any window, including 1, yields
-    the same submission-order results.
+    Jobs are built lazily and piped through the runner's
+    ``run_stream`` (bounded in-flight windows); each run is folded into
+    the report as it completes.  ``stream`` only chooses the fold:
+    ``False`` keeps every run in a :class:`CampaignReport`, ``True``
+    keeps counts and failures in a :class:`CampaignSummary`, so memory
+    stays O(failures) regardless of ``len(seeds)``.  ``summary()`` and
+    ``format()`` are byte-identical either way.
     """
     eligible = tuple(eligible_ranks) if eligible_ranks is not None else None
 
@@ -280,35 +282,14 @@ def run_campaign(
         from ..cache import attach_cache
 
         runner = attach_cache(runner, cache)
-    if stream:
-        jobs_iter = (make_job(seed) for seed in seeds)
-        summary = CampaignSummary()
-        if telemetry:
-            from ..obs.telemetry import TelemetryWriter, run_recorded_stream
-
-            writer = TelemetryWriter(
-                telemetry, kind="campaign", total=len(seeds), workers=workers
-            )
-            try:
-                for run in run_recorded_stream(
-                    runner, jobs_iter, writer, window=stream_window
-                ):
-                    summary.add(run)
-            finally:
-                writer.close()
-        else:
-            for run in runner.run_stream(jobs_iter, window=stream_window):
-                summary.add(run)
-        return summary
-    jobs = [make_job(seed) for seed in seeds]
-    if telemetry:
-        from ..obs.telemetry import TelemetryWriter, run_recorded
-
-        writer = TelemetryWriter(
-            telemetry, kind="campaign", total=len(jobs), workers=workers
-        )
-        try:
-            return CampaignReport(runs=run_recorded(runner, jobs, writer))
-        finally:
-            writer.close()
-    return CampaignReport(runs=runner.run(jobs))
+    report = CampaignSummary() if stream else CampaignReport()
+    for run in run_recorded(
+        runner,
+        (make_job(seed) for seed in seeds),
+        telemetry,
+        kind="campaign",
+        total=len(seeds),
+        workers=workers,
+    ):
+        report.add(run)
+    return report

@@ -17,10 +17,11 @@ The result is a complete map of "what happens if a process dies *here*"
 — the tool the paper wishes existed.
 
 Step 2 is a batch of independent deterministic simulations, so
-:func:`explore` fans it out through a
-:class:`~repro.parallel.SweepRunner`: one picklable :class:`WindowJob`
-per window (and per pair), merged back in enumeration order so the
-:class:`ExplorationReport` is bit-identical to a serial sweep.
+:func:`explore` streams it through a
+:class:`~repro.parallel.SweepRunner`: one lazily built, picklable
+:class:`WindowJob` per window (and per pair), merged back in
+enumeration order so the :class:`ExplorationReport` is bit-identical
+to a serial sweep.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+from ..obs.telemetry import run_recorded
 from ..parallel.jobs import (
     Invariant,
     InvariantSpec,
@@ -91,8 +93,8 @@ def _format_exploration(
     s: dict[str, int], failures: Sequence[ScenarioOutcome]
 ) -> str:
     """One report body shared by :class:`ExplorationReport` and
-    :class:`ExplorationSummary`, so streamed and materialized sweeps
-    render byte-identical reports."""
+    :class:`ExplorationSummary`, so both folds of a sweep render
+    byte-identical reports."""
     lines = [
         f"explored {s['runs']} scenario(s) over {s['windows']} window(s): "
         f"{s['ok']} ok, {s['hangs']} hang(s), {s['violations']} violating"
@@ -109,7 +111,10 @@ class ExplorationReport:
     """Aggregate of a full exploration sweep."""
 
     reference_windows: list[Window]
-    outcomes: list[ScenarioOutcome]
+    outcomes: list[ScenarioOutcome] = field(default_factory=list)
+
+    def add(self, outcome: ScenarioOutcome) -> None:
+        self.outcomes.append(outcome)
 
     @property
     def failures(self) -> list[ScenarioOutcome]:
@@ -134,14 +139,14 @@ class ExplorationReport:
 
 @dataclass
 class ExplorationSummary:
-    """Streaming counterpart of :class:`ExplorationReport`: running
+    """O(failures) counterpart of :class:`ExplorationReport`: running
     counts plus the (rare) failing outcomes, never the full outcome
     list.
 
     Produced by ``explore(..., stream=True)`` — a ``pairs=True`` sweep
     whose job count grows quadratically in the window count holds
     O(failures) memory instead of O(runs).  ``summary()`` and
-    ``format()`` are byte-identical to the materialized report's.
+    ``format()`` are byte-identical to the full report's.
     """
 
     reference_windows: list[Window] = field(default_factory=list)
@@ -298,7 +303,6 @@ def explore(
     progress: Callable[[int, int], None] | None = None,
     telemetry: str | None = None,
     stream: bool = False,
-    stream_window: int | None = None,
 ) -> "ExplorationReport | ExplorationSummary":
     """Exhaustively inject a failure at every reachable window.
 
@@ -314,8 +318,9 @@ def explore(
     ``keep_results=False`` jobs participate — traces are never cached).
 
     ``progress`` is called as ``progress(done, total)`` — once up front
-    with ``done=0`` and again as batches of re-runs complete — so long
-    enumerations (``pairs=True`` grows quadratically) report liveness.
+    with ``done=0`` and again as each of ~16 in-flight windows of
+    re-runs completes — so long enumerations (``pairs=True`` grows
+    quadratically) report liveness.
 
     ``telemetry`` names a JSONL file to stream per-job telemetry into
     (see :mod:`repro.obs.telemetry`): start/end, wall time, outcome
@@ -334,13 +339,14 @@ def explore(
     then be picklable).  Outcomes keep enumeration order either way, so
     the report does not depend on the worker count.
 
-    ``stream=True`` builds the jobs lazily (the quadratic ``pairs``
-    enumeration included), pipes them through the runner's
-    ``run_stream``, and folds outcomes into an
-    :class:`ExplorationSummary` as they complete — memory stays
-    O(windows + failures) regardless of the job count, and
-    ``summary()``/``format()`` are byte-identical to the materialized
-    report's.
+    Jobs are built lazily (the quadratic ``pairs`` enumeration
+    included) and piped through the runner's ``run_stream``; each
+    outcome is folded into the report as it completes.  ``stream`` only
+    chooses the fold: ``False`` keeps every outcome in an
+    :class:`ExplorationReport`, ``True`` keeps counts and failures in an
+    :class:`ExplorationSummary`, so memory stays O(windows + failures)
+    regardless of the job count.  ``summary()``/``format()`` are
+    byte-identical either way.
     """
     windows = enumerate_windows(factory, probes=probes, ranks=ranks)
     if max_windows is not None:
@@ -384,83 +390,22 @@ def explore(
         from ..cache import attach_cache
 
         runner = attach_cache(runner, cache)
-    writer = None
-    if telemetry:
-        from ..obs.telemetry import TelemetryWriter
-
-        writer = TelemetryWriter(
-            telemetry, kind="explore", total=total, workers=workers
-        )
     if stream:
-        summary = ExplorationSummary(reference_windows=windows)
-        try:
-            if writer is not None:
-                from ..obs.telemetry import run_recorded_stream
-
-                values = run_recorded_stream(
-                    runner, iter_jobs(), writer, window=stream_window
-                )
-            else:
-                values = runner.run_stream(iter_jobs(), window=stream_window)
-            if progress is not None:
-                progress(0, total)
-            step = max(1, math.ceil(total / 16))
-            for done, outcome in enumerate(values, start=1):
-                summary.add(outcome)
-                if progress is not None and (
-                    done % step == 0 or done == total
-                ):
-                    progress(done, total)
-        finally:
-            if writer is not None:
-                writer.close()
-        return summary
-    jobs = list(iter_jobs())
-    try:
-        outcomes = _run_with_progress(runner, jobs, progress, writer)
-    finally:
-        if writer is not None:
-            writer.close()
-    return ExplorationReport(
-        reference_windows=windows,
-        outcomes=outcomes,
-    )
-
-
-def _run_with_progress(
-    runner: SweepRunner,
-    jobs: list[WindowJob],
-    progress: Callable[[int, int], None] | None,
-    writer: Any = None,
-) -> list[ScenarioOutcome]:
-    """Run *jobs*, optionally splitting into at most ~16 batches so the
-    *progress* callback fires while work is still in flight.  Results
-    keep submission order either way, so batching never changes the
-    report — only its liveness.  ``writer`` (a
-    :class:`repro.obs.telemetry.TelemetryWriter`) records per-job
-    telemetry with sweep-global indices, batched or not."""
-    if progress is None and writer is None:
-        return runner.run(jobs)
-    total = len(jobs)
+        report = ExplorationSummary(reference_windows=windows)
+    else:
+        report = ExplorationReport(reference_windows=windows)
+    # With a progress callback, ~16 windows make each batch's completion
+    # observable; without one the runner picks its own window.
+    step = window = None
     if progress is not None:
+        step = window = max(1, math.ceil(total / 16))
         progress(0, total)
-    step = total if progress is None else max(1, math.ceil(total / 16))
-    outcomes: list[ScenarioOutcome] = []
-    for i in range(0, max(total, 1), max(step, 1)):
-        batch = jobs[i : i + step]
-        if not batch:
-            break
-        if writer is not None:
-            wrapped = runner.run(writer.wrap(batch, start=i))
-            outcomes.extend(writer.record(
-                wrapped, retries=getattr(runner, "job_retries", None)
-            ))
-        else:
-            outcomes.extend(runner.run(batch))
-        if progress is not None:
-            progress(len(outcomes), total)
-    if writer is not None:
-        from ..obs.telemetry import runner_worker_stats
-
-        writer.record_workers(runner_worker_stats(runner))
-    return outcomes
+    outcomes = run_recorded(
+        runner, iter_jobs(), telemetry,
+        kind="explore", total=total, workers=workers, window=window,
+    )
+    for done, outcome in enumerate(outcomes, start=1):
+        report.add(outcome)
+        if step is not None and (done % step == 0 or done == total):
+            progress(done, total)
+    return report

@@ -26,6 +26,7 @@ from typing import Any, Iterator, Sequence
 
 from ..analysis.digest import perf_dict, result_digest
 from ..faults.schedule import KillSpec
+from ..obs.telemetry import run_recorded
 from ..parallel.jobs import check_invariants
 from ..parallel.runner import SerialRunner, SweepRunner
 from ..simmpi.runtime import SimulationResult
@@ -328,7 +329,7 @@ def _format_fuzz(
     shrunk: Sequence[ShrinkResult],
 ) -> str:
     """One report body shared by :class:`FuzzReport` and
-    :class:`FuzzSummary`, so streamed and materialized campaigns render
+    :class:`FuzzSummary`, so both folds of a campaign render
     byte-identical reports."""
     lines = [
         f"fuzz seed={s['seed']}: {s['runs']} run(s), "
@@ -354,9 +355,12 @@ class FuzzReport:
 
     scenario: Any
     seed: int
-    outcomes: list[FuzzOutcome]
+    outcomes: list[FuzzOutcome] = field(default_factory=list)
     #: One shrink result per failing outcome, aligned with :attr:`failures`.
     shrunk: list[ShrinkResult] = field(default_factory=list)
+
+    def add(self, outcome: FuzzOutcome) -> None:
+        self.outcomes.append(outcome)
 
     @property
     def failures(self) -> list[FuzzOutcome]:
@@ -378,12 +382,12 @@ class FuzzReport:
 
 @dataclass
 class FuzzSummary:
-    """Streaming counterpart of :class:`FuzzReport`: counts plus the
+    """O(failures) counterpart of :class:`FuzzReport`: counts plus the
     (rare) failing outcomes, never the full outcome list.
 
     Produced by ``fuzz(..., stream=True)`` — a 10^6-run campaign holds
     O(failures) memory instead of O(runs).  ``summary()`` and
-    ``format()`` are byte-identical to the materialized report's
+    ``format()`` are byte-identical to the full report's
     (``format(verbose=True)`` is unavailable: the ok outcomes are gone
     by design).
     """
@@ -430,15 +434,14 @@ def fuzz(
     max_shrink_attempts: int = 300,
     telemetry: str | None = None,
     stream: bool = False,
-    stream_window: int | None = None,
     **sample_options: Any,
 ) -> "FuzzReport | FuzzSummary":
     """Run one seeded fuzz campaign end to end.
 
-    Samples the corpus, fans it out through *runner* (default: in-process
-    :class:`~repro.parallel.runner.SerialRunner`; any pooled runner gives
-    the identical report, just faster), and shrinks every failure in the
-    parent.  Extra keyword options are forwarded to
+    Samples the corpus lazily, streams it through *runner* (default:
+    in-process :class:`~repro.parallel.runner.SerialRunner`; any pooled
+    runner gives the identical report, just faster), and shrinks every
+    failure in the parent.  Extra keyword options are forwarded to
     :func:`sample_configs`.
 
     ``cache`` (a :class:`repro.cache.RunCache` or a directory path)
@@ -453,65 +456,33 @@ def fuzz(
     disposition — see :mod:`repro.obs.telemetry`).  Shrink re-runs are
     not part of the stream: they explore configs outside the corpus.
 
-    ``stream=True`` pipes a *lazily sampled* corpus through the
-    runner's ``run_stream`` and folds outcomes into a
-    :class:`FuzzSummary` as they arrive — memory stays O(failures)
-    regardless of ``runs``, and ``summary()``/``format()`` are
-    byte-identical to the materialized report's.
+    Each outcome is folded into the report as it arrives.  ``stream``
+    only chooses the fold: ``False`` keeps every outcome in a
+    :class:`FuzzReport` (``format(verbose=True)`` lists them all),
+    ``True`` keeps counts and failures in a :class:`FuzzSummary`, so
+    memory stays O(failures) regardless of ``runs``.
+    ``summary()``/``format()`` are byte-identical either way.
     """
     runner = runner or SerialRunner()
     if cache is not None and cache is not False:
         from ..cache import attach_cache
 
         runner = attach_cache(runner, cache)
-    if stream:
-        jobs_iter = (
-            FuzzJob(config=c, index=i, invariants=invariants)
-            for i, c in enumerate(
-                iter_sample_configs(scenario, runs, seed, **sample_options)
-            )
-        )
-        summary = FuzzSummary(scenario=scenario, seed=seed)
-        if telemetry:
-            from ..obs.telemetry import TelemetryWriter, run_recorded_stream
-
-            writer = TelemetryWriter(
-                telemetry, kind="fuzz", total=runs, workers=None
-            )
-            try:
-                for outcome in run_recorded_stream(
-                    runner, jobs_iter, writer, window=stream_window
-                ):
-                    summary.add(outcome)
-            finally:
-                writer.close()
-        else:
-            for outcome in runner.run_stream(jobs_iter, window=stream_window):
-                summary.add(outcome)
-        if shrink_failures:
-            summary.shrunk = [
-                shrink(o.config, invariants, max_attempts=max_shrink_attempts)
-                for o in summary.failures
-            ]
-        return summary
-    configs = sample_configs(scenario, runs, seed, **sample_options)
-    jobs = [
+    jobs = (
         FuzzJob(config=c, index=i, invariants=invariants)
-        for i, c in enumerate(configs)
-    ]
-    if telemetry:
-        from ..obs.telemetry import TelemetryWriter, run_recorded
-
-        writer = TelemetryWriter(
-            telemetry, kind="fuzz", total=len(jobs), workers=None
+        for i, c in enumerate(
+            iter_sample_configs(scenario, runs, seed, **sample_options)
         )
-        try:
-            outcomes = run_recorded(runner, jobs, writer)
-        finally:
-            writer.close()
+    )
+    report: FuzzReport | FuzzSummary
+    if stream:
+        report = FuzzSummary(scenario=scenario, seed=seed)
     else:
-        outcomes = runner.run(jobs)
-    report = FuzzReport(scenario=scenario, seed=seed, outcomes=outcomes)
+        report = FuzzReport(scenario=scenario, seed=seed)
+    for outcome in run_recorded(
+        runner, jobs, telemetry, kind="fuzz", total=runs
+    ):
+        report.add(outcome)
     if shrink_failures:
         report.shrunk = [
             shrink(o.config, invariants, max_attempts=max_shrink_attempts)

@@ -78,7 +78,6 @@ from .telemetry import (
     outcome_class,
     read_telemetry,
     run_recorded,
-    run_recorded_stream,
     runner_worker_stats,
     summarize,
     summary_dict,
@@ -128,7 +127,6 @@ __all__ = [
     "registry_from_telemetry",
     "render_top",
     "run_recorded",
-    "run_recorded_stream",
     "run_report",
     "runner_worker_stats",
     "span_errors",

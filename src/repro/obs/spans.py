@@ -54,7 +54,6 @@ __all__ = [
     "active",
     "canonical_spans",
     "dumps_spans",
-    "outcome_label",
     "read_spans",
     "recording",
     "span_errors",
@@ -95,17 +94,6 @@ _OUTCOME_CLASSES = frozenset({"ok", "hang", "violation", "abort"})
 _REQUIRED_KEYS = frozenset(
     {"id", "parent", "name", "cat", "t", "dur", "track", "attrs"}
 )
-
-
-def outcome_label(value: Any) -> str:
-    """The telemetry outcome class of a job's return value, unwrapping
-    the :class:`~repro.obs.telemetry.TelemetryResult` envelope so spans
-    and telemetry classify a run identically."""
-    from .telemetry import TelemetryResult, outcome_class
-
-    if isinstance(value, TelemetryResult):
-        value = value.value
-    return outcome_class(value)
 
 
 @dataclass

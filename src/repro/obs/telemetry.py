@@ -34,7 +34,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
     "TELEMETRY_FORMAT",
@@ -47,7 +47,6 @@ __all__ = [
     "outcome_class",
     "read_telemetry",
     "run_recorded",
-    "run_recorded_stream",
     "runner_worker_stats",
     "summarize",
     "summary_dict",
@@ -66,7 +65,11 @@ VOLATILE_KEYS = frozenset(
 
 def outcome_class(value: Any) -> str:
     """Classify a sweep result by the outcome fields every job shape
-    shares (``ScenarioOutcome``, ``CampaignRun``, ``FuzzOutcome``)."""
+    shares (``ScenarioOutcome``, ``CampaignRun``, ``FuzzOutcome``),
+    unwrapping the :class:`TelemetryResult` envelope so job spans and
+    telemetry lines classify a run identically."""
+    if isinstance(value, TelemetryResult):
+        value = value.value
     if getattr(value, "hung", False):
         return "hang"
     if getattr(value, "violations", ()):
@@ -150,20 +153,11 @@ class TelemetryJob:
 
 
 class TelemetryWriter:
-    """Streams one sweep's telemetry to a JSONL file.
-
-    Usage::
-
-        writer = TelemetryWriter(path, kind="campaign", total=len(jobs))
-        try:
-            values = run_recorded(runner, jobs, writer)
-        finally:
-            writer.close()
-
-    Batched drivers call :meth:`wrap` with the batch's global start
-    index, run the wrapped jobs, then :meth:`record` each batch; lines
-    append in completion order (canonicalization sorts them anyway).
-    """
+    """Streams one sweep's telemetry to a JSONL file: a header line,
+    then one :meth:`record` line per job as its result arrives (lines
+    append in completion order; canonicalization sorts them anyway).
+    Sweeps write through :func:`run_recorded`, which owns the writer's
+    lifetime."""
 
     def __init__(
         self,
@@ -191,32 +185,19 @@ class TelemetryWriter:
             json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         )
 
-    def wrap(self, jobs: Sequence[Any], start: int = 0) -> list[TelemetryJob]:
-        return [TelemetryJob(job=j, index=start + i) for i, j in enumerate(jobs)]
-
-    def record(
-        self,
-        results: Sequence[TelemetryResult],
-        retries: Sequence[int] | None = None,
-    ) -> list[Any]:
-        """Write one line per wrapped result; return the unwrapped values
-        in the order given (submission order)."""
-        values: list[Any] = []
-        for i, res in enumerate(results):
-            self._write({
-                "kind": "job",
-                "index": res.index,
-                "outcome": outcome_class(res.value),
-                "cache": res.cached,
-                "t_start": res.t_start,
-                "t_end": res.t_end,
-                "wall_s": res.wall_s,
-                "worker": res.worker,
-                "retries": (retries[i] if retries is not None
-                            and i < len(retries) else 0),
-            })
-            values.append(res.value)
-        return values
+    def record(self, res: TelemetryResult, retries: int = 0) -> None:
+        """Write the line for one wrapped job result."""
+        self._write({
+            "kind": "job",
+            "index": res.index,
+            "outcome": outcome_class(res.value),
+            "cache": res.cached,
+            "t_start": res.t_start,
+            "t_end": res.t_end,
+            "wall_s": res.wall_s,
+            "worker": res.worker,
+            "retries": retries,
+        })
 
     def record_workers(self, stats: Sequence[dict[str, Any]]) -> None:
         """Write one ``kind: "worker"`` line per remote worker.
@@ -249,48 +230,43 @@ def runner_worker_stats(runner: Any) -> list[dict[str, Any]]:
 
 
 def run_recorded(
-    runner: Any, jobs: Sequence[Any], writer: TelemetryWriter
-) -> list[Any]:
-    """Run *jobs* through *runner* with telemetry; return unwrapped values."""
-    wrapped = writer.wrap(jobs)
-    results = runner.run(wrapped)
-    values = writer.record(
-        results, retries=getattr(runner, "job_retries", None)
-    )
-    writer.record_workers(runner_worker_stats(runner))
-    return values
-
-
-def run_recorded_stream(
-    runner: Any, jobs: Any, writer: TelemetryWriter, *,
+    runner: Any,
+    jobs: Iterable[Any],
+    path: str | Path | None,
+    *,
+    kind: str,
+    total: int,
+    workers: int | None = None,
     window: int | None = None,
-) -> Any:
-    """Streaming :func:`run_recorded`: yield unwrapped values one at a
-    time, writing each job's telemetry line as its result arrives.
+) -> Iterator[Any]:
+    """Run *jobs* through ``runner.run_stream`` and yield their values in
+    submission order, recording one telemetry line per job into *path*.
 
-    *jobs* may be any iterable (a lazy generator included) — it is
-    wrapped and consumed incrementally through ``runner.run_stream``
-    (*window* jobs in flight at most; ``None`` for the runner's
-    default), so neither the job list nor the result list is ever
-    materialized.  The runner's cumulative ``job_retries`` (indexed by
-    global submission order, exactly like each result's ``index``)
-    supplies the per-line retry counts, so the canonical stream matches
-    a materialized :func:`run_recorded` byte for byte.
+    *jobs* may be any iterable (a lazy generator included): it is
+    wrapped and consumed incrementally, *window* jobs in flight at most
+    (``None`` for the runner's default), so neither the job list nor
+    the result list is ever materialized.  The runner's cumulative
+    ``job_retries`` (indexed by global submission order, like each
+    result's ``index``, and grown before each result is yielded)
+    supplies the per-line retry counts.  The file
+    (header: *kind*, *total*, *workers*) is opened when the first value
+    is requested and closed when the sweep ends, fails or is abandoned.
+    With no *path* this is just ``runner.run_stream``.
     """
-    def _wrapped():
-        for i, job in enumerate(jobs):
-            yield TelemetryJob(job=job, index=i)
-
-    for res in runner.run_stream(_wrapped(), window=window):
-        retries = getattr(runner, "job_retries", None)
-        count = (
-            retries[res.index]
-            if retries is not None and res.index < len(retries)
-            else 0
+    if not path:
+        yield from runner.run_stream(jobs, window=window)
+        return
+    writer = TelemetryWriter(path, kind=kind, total=total, workers=workers)
+    try:
+        wrapped = (
+            TelemetryJob(job=job, index=i) for i, job in enumerate(jobs)
         )
-        writer.record([res], retries=[count])
-        yield res.value
-    writer.record_workers(runner_worker_stats(runner))
+        for res in runner.run_stream(wrapped, window=window):
+            writer.record(res, runner.job_retries[res.index])
+            yield res.value
+        writer.record_workers(runner_worker_stats(runner))
+    finally:
+        writer.close()
 
 
 # ----------------------------------------------------------------------

@@ -77,9 +77,9 @@ from ..obs import registry as metrics
 from ..obs.spans import (
     SpanRecorder,
     active as spans_active,
-    outcome_label,
     recording,
 )
+from ..obs.telemetry import outcome_class
 from .runner import (
     DEFAULT_STREAM_WINDOW,
     SweepError,
@@ -244,7 +244,7 @@ def _traced_job(trace: tuple | None, index: int, run: Any) -> Any:
         "job", "job", parent=root.id, attrs={"index": base + index}
     ) as span:
         value = run()
-        span.attrs["outcome"] = outcome_label(value)
+        span.attrs["outcome"] = outcome_class(value)
     return value
 
 
@@ -293,7 +293,7 @@ def _execute_chunk(
                 "job", "job", parent=root.id, attrs={"index": base + i}
             ) as span:
                 outcome, payload = job.cache_payload()
-                span.attrs["outcome"] = outcome_label(outcome)
+                span.attrs["outcome"] = outcome_class(outcome)
         items.append((status, outcome, key, payload))
     return items
 

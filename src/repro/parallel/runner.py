@@ -50,7 +50,8 @@ from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..obs import registry as metrics
-from ..obs.spans import SpanRecorder, active as spans_active, outcome_label
+from ..obs.spans import SpanRecorder, active as spans_active
+from ..obs.telemetry import outcome_class
 from .transport import LocalPoolTransport, Transport, run_chunk
 
 #: A sweep job: picklable, zero-argument, returns a picklable result.
@@ -183,7 +184,7 @@ class SerialRunner(SweepRunner):
                     attrs={"index": base + offset},
                 ) as span:
                     value = job()
-                    span.attrs["outcome"] = outcome_label(value)
+                    span.attrs["outcome"] = outcome_class(value)
                 values.append(value)
         return values
 
@@ -202,7 +203,7 @@ class SerialRunner(SweepRunner):
                     "job", "job", attrs={"index": len(retries)}
                 ) as span:
                     result = job()
-                    span.attrs["outcome"] = outcome_label(result)
+                    span.attrs["outcome"] = outcome_class(result)
             retries.append(0)
             yield result
 

@@ -36,7 +36,8 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
-from ..obs.spans import SpanRecorder, active as spans_active, outcome_label, recording
+from ..obs.spans import SpanRecorder, active as spans_active, recording
+from ..obs.telemetry import outcome_class
 
 #: A sweep job as the transport sees it (re-declared here to avoid a
 #: circular import with :mod:`repro.parallel.runner`).
@@ -85,7 +86,7 @@ def run_chunk_traced(
                     attrs={"index": base + offset},
                 ) as span:
                     value = job()
-                    span.attrs["outcome"] = outcome_label(value)
+                    span.attrs["outcome"] = outcome_class(value)
                 values.append(value)
     return values, recorder.export_raw(), os.getpid()
 

@@ -28,7 +28,7 @@ from repro.core import (
     make_ring_main,
     make_rootft_main,
 )
-from repro.parallel import RingScenario, StandardRingInvariants
+from repro.parallel import RemoteRunner, RingScenario, StandardRingInvariants
 from repro.simmpi import CostModel, Simulation, SimulationResult
 
 # ---------------------------------------------------------------------------
@@ -88,6 +88,19 @@ RING_SCENARIO = RingScenario(nprocs=4, iters=3)
 
 #: Its matching full invariant battery.
 RING_INVARIANTS = StandardRingInvariants(3, 4)
+
+
+class WindowedRemoteRunner(RemoteRunner):
+    """A remote runner whose default stream window is *window* jobs.
+    The sweep drivers take no window, so a runner default is how a test
+    spreads a sweep (its indices and retries) over several windows."""
+
+    def __init__(self, *, window: int, **kw) -> None:
+        super().__init__(**kw)
+        self.window = window
+
+    def _stream_window(self) -> int:
+        return self.window
 
 
 # ---------------------------------------------------------------------------

@@ -235,3 +235,28 @@ class TestCoverageCli:
         ])
         assert rc == 0  # ft_marker survives everything here
         assert "coverage fuzz (uniform)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--cache"], ["--telemetry", "t.jsonl"], ["--out-dir", "repros"],
+         ["--no-shrink"], ["--verbose"]],
+    )
+    def test_rejects_flags_coverage_mode_ignores(self, flag, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=f"does not support {flag[0]}"):
+            main(["fuzz", "--runs", "2", "--coverage"] + flag)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spans_recorded(self, capsys, tmp_path):
+        from repro.obs.spans import canonical_spans, span_errors
+
+        spans = tmp_path / "spans.jsonl"
+        rc = main([
+            "fuzz", "--nprocs", "4", "--iters", "3", "--runs", "6",
+            "--coverage", "--spans", str(spans),
+        ])
+        assert rc == 0
+        assert f"[spans] wrote {spans}" in capsys.readouterr().err
+        assert span_errors(spans) == []
+        assert canonical_spans(spans)  # the batches' job spans

@@ -44,6 +44,7 @@ from repro.parallel.scenarios import RingScenario
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
     RING_SCENARIO as SCENARIO,
+    WindowedRemoteRunner,
     campaign_fields as _campaign_fields,
 )
 from tests.test_parallel import BoomJob, SquareJob
@@ -256,7 +257,7 @@ class TestRemoteRunner:
         assert serial.format() == pooled.format() == remote.format()
 
     def test_run_stream_window_one_keeps_submission_order(self, worker_addr):
-        # The stream-window regression: even a window of 1 (fully
+        # The run_stream window regression: even a window of 1 (fully
         # serialized in-flight) must yield submission-order results.
         jobs = [SquareJob(x) for x in range(9)]
         expected = [x * x for x in range(9)]
@@ -271,9 +272,8 @@ class TestRemoteRunner:
     ):
         materialized = _campaign()
         streamed = _campaign(
-            runner=RemoteRunner(addresses=[worker_addr]),
+            runner=WindowedRemoteRunner(addresses=[worker_addr], window=1),
             stream=True,
-            stream_window=1,
         )
         assert streamed.format() == materialized.format()
 
@@ -436,8 +436,8 @@ class TestDeadWorkerRecovery:
             serial = _campaign(factory=factory)
 
         log = tmp_path / "remote.jsonl"
-        runner = RemoteRunner(
-            addresses=subprocess_workers, chunk_size=1, retries=2
+        runner = WindowedRemoteRunner(
+            addresses=subprocess_workers, chunk_size=1, retries=2, window=2
         )
         remote_rec = SpanRecorder(kind="campaign")
         with recording(remote_rec):
@@ -445,7 +445,6 @@ class TestDeadWorkerRecovery:
                 runner=runner,
                 factory=factory,
                 stream=True,
-                stream_window=2,
                 telemetry=str(log),
             )
         assert (tmp_path / "poisoned").exists(), "no worker was killed"
@@ -554,16 +553,6 @@ class TestRemoteCli:
         assert captured.out == serial_out
         assert "[remote]" in captured.err
 
-    def test_stream_window_flag(self, worker_addr, capsys):
-        from repro.cli import main
-
-        base = ["campaign", "--nprocs", "4", "--iters", "3",
-                "--runs", "5", "--horizon", "8e-6"]
-        assert main(base) == 0
-        serial_out = capsys.readouterr().out
-        assert main(base + ["--stream", "--stream-window", "1"]) == 0
-        assert capsys.readouterr().out == serial_out
-
     def test_transport_remote_requires_workers_addr(self):
         from repro.cli import main
 
@@ -581,7 +570,7 @@ class TestRemoteCli:
         "argv",
         [
             ["campaign", "--runs", "2", "--workers", "0"],
-            ["campaign", "--runs", "2", "--stream-window", "0"],
+            ["explore", "--workers", "0"],
             ["campaign", "--runs", "2", "--transport", "remote",
              "--workers-addr", "nonsense"],
         ],

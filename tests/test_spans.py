@@ -33,6 +33,7 @@ from repro.parallel import ProcessPoolRunner, RemoteRunner, WorkerServer
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
     RING_SCENARIO as SCENARIO,
+    WindowedRemoteRunner,
 )
 
 
@@ -231,16 +232,17 @@ class TestTransportIdentity:
         assert canonical_spans(remote_rec) == canon
 
     def test_streamed_runs_carry_global_indices(self, worker_addr):
-        _, materialized = _recorded_campaign(
+        _, one_window = _recorded_campaign(
             runner=RemoteRunner(addresses=[worker_addr], chunk_size=2)
         )
-        _, streamed = _recorded_campaign(
-            runner=RemoteRunner(addresses=[worker_addr], chunk_size=2),
+        _, windowed = _recorded_campaign(
+            runner=WindowedRemoteRunner(
+                addresses=[worker_addr], chunk_size=2, window=2
+            ),
             stream=True,
-            stream_window=2,
         )
-        assert span_errors(streamed) == []
-        assert canonical_spans(streamed) == canonical_spans(materialized)
+        assert span_errors(windowed) == []
+        assert canonical_spans(windowed) == canonical_spans(one_window)
 
     def test_remote_spans_cover_the_whole_pipeline(self, worker_addr):
         _, rec = _recorded_campaign(

@@ -1,11 +1,12 @@
-"""The streaming sweep pipeline (``run_stream`` and ``stream=True``).
+"""The one sweep pipeline (``run_stream``) and its two folds.
 
-PR 7's contract: a streamed sweep must be *observationally identical*
-to a materialized one — same values in the same submission order, same
-report text, same canonical telemetry, same cache hits — while holding
-only a bounded window of jobs and results in memory.  This suite pins
-both halves: equivalence (streamed == materialized == pooled, byte for
-byte) and boundedness (jobs are built lazily, never all at once).
+Every sweep driver builds its jobs lazily, streams them through
+``runner.run_stream`` and folds each result into a report; ``stream=``
+only chooses the fold (the full ``*Report`` or the O(failures)
+``*Summary``).  This suite pins both halves: the folds render the same
+values, report text, canonical telemetry and cache hits, serial and
+pooled, byte for byte; and the pipeline is bounded (jobs are built
+lazily, never all at once — see also ``benchmarks/bench_stream.py``).
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class TestRunStream:
 
 
 # ---------------------------------------------------------------------------
-# stream=True sweeps: byte-identical to materialized, serial and pooled
+# The two folds: byte-identical, serial and pooled
 # ---------------------------------------------------------------------------
 
 
@@ -181,23 +182,39 @@ class TestStreamedSweeps:
 
 
 # ---------------------------------------------------------------------------
-# CLI --stream
+# CLI: which fold each subcommand keeps
 # ---------------------------------------------------------------------------
 
 
-class TestStreamCli:
-    def _run(self, capsys, argv):
-        rc = main(argv)
-        return rc, capsys.readouterr().out
+class TestCliFold:
+    def test_campaign_folds_into_summary(self, capsys, monkeypatch):
+        import repro.cli as cli
 
-    def test_campaign_stream_flag_identical_stdout(self, capsys):
-        base = ["campaign", "--nprocs", "4", "--iters", "3", "--runs", "8"]
-        rc1, mat = self._run(capsys, base)
-        rc2, streamed = self._run(capsys, base + ["--stream"])
-        assert (rc1, mat) == (rc2, streamed)
+        folds = []
 
-    def test_fuzz_stream_flag_identical_stdout(self, capsys):
-        base = ["fuzz", "--nprocs", "4", "--iters", "3", "--runs", "10"]
-        rc1, mat = self._run(capsys, base)
-        rc2, streamed = self._run(capsys, base + ["--stream"])
-        assert (rc1, mat) == (rc2, streamed)
+        def spy(*args, **kwargs):
+            folds.append(run_campaign(*args, **kwargs))
+            full = run_campaign(*args, **{**kwargs, "stream": False})
+            assert isinstance(full, CampaignReport)
+            assert folds[-1].format() == full.format()
+            return folds[-1]
+
+        monkeypatch.setattr(cli, "run_campaign", spy)
+        assert main(["campaign", "--nprocs", "4", "--iters", "3",
+                     "--runs", "8"]) == 0
+        assert [type(f) for f in folds] == [CampaignSummary]
+        assert capsys.readouterr().out == folds[0].format() + "\n"
+
+    def test_fuzz_verbose_lists_every_outcome(self, capsys):
+        argv = ["fuzz", "--variant", "naive", "--termination", "root_bcast",
+                "--nprocs", "4", "--iters", "3", "--runs", "10"]
+        main(argv)
+        terse = capsys.readouterr().out.splitlines()
+        main(argv + ["--verbose"])
+        verbose = capsys.readouterr().out.splitlines()
+        listed = [ln for ln in verbose if ln.startswith("[")]
+        assert [int(ln[1:5]) for ln in listed] == list(range(10))
+        failing = [ln for ln in terse if ln.startswith("[")]
+        assert failing and len(failing) < len(listed)
+        assert set(failing) <= set(listed)
+        assert verbose[0] == terse[0]
